@@ -25,14 +25,6 @@ func Lint(p *ir.Program) []Diagnostic {
 	return out
 }
 
-// LintFunc runs the per-function diagnostics over a single function.
-// Interval facts are computed without interprocedural summaries (calls
-// return unknown values).
-func LintFunc(fn *ir.Func) []Diagnostic {
-	p := &ir.Program{Funcs: map[string]*ir.Func{fn.Name: fn}, Order: []string{fn.Name}}
-	return lintFunc(fn, IntervalsOf(p).Func(fn))
-}
-
 func lintFunc(fn *ir.Func, fi *FuncIntervals) []Diagnostic {
 	var out []Diagnostic
 	diag := func(code string, pos int, format string, args ...any) {

@@ -17,11 +17,6 @@ type BitSet struct {
 // NewBitSet returns an empty bit set.
 func NewBitSet() *BitSet { return &BitSet{} }
 
-// NewBitSetWithCap returns an empty bit set pre-sized for keys < k.
-func NewBitSetWithCap(k uint32) *BitSet {
-	return &BitSet{words: make([]uint64, (int(k)+63)/64)}
-}
-
 func (b *BitSet) growTo(k uint32) {
 	need := int(k)/64 + 1
 	if need <= len(b.words) {

@@ -3,11 +3,26 @@ package core
 import (
 	"testing"
 
+	"memoir/internal/adeprofile"
 	"memoir/internal/collections"
 	"memoir/internal/faults"
-	"memoir/internal/profile"
 	"memoir/internal/remarks"
+	"memoir/internal/telemetry"
 )
+
+// siteDoc returns an adeprofile/v1 document with one program per
+// hash, each recording reads at the site main#alloc.
+func siteDoc(reads uint64, hashes ...string) *adeprofile.Profile {
+	p := adeprofile.New()
+	for _, h := range hashes {
+		s := &adeprofile.SiteProfile{Key: telemetry.SiteKey{Fn: "main", Alloc: 2}}
+		s.Ops[telemetry.OpRead] = reads
+		p.Programs = append(p.Programs, &adeprofile.ProgramProfile{
+			Hash: h, Runs: 1, Sites: []*adeprofile.SiteProfile{s},
+		})
+	}
+	return p
+}
 
 // Every decision-relevant Options variation must produce a distinct
 // fingerprint — a collision would alias two differently compiled
@@ -48,10 +63,10 @@ func TestFingerprintNoCollisions(t *testing.T) {
 	v.Fuel = -1
 	variants["fuel-none"] = v
 	v = base
-	v.Profile = profile.Profile{{Fn: "main", Ordinal: 2}: 10}
+	v.SiteProfile = siteDoc(10, "h1")
 	variants["profiled"] = v
 	v = base
-	v.Profile = profile.Profile{{Fn: "main", Ordinal: 2}: 11}
+	v.SiteProfile = siteDoc(11, "h1")
 	variants["profiled-other"] = v
 
 	seen := map[string]string{}
@@ -66,18 +81,19 @@ func TestFingerprintNoCollisions(t *testing.T) {
 
 func TestFingerprintDeterministic(t *testing.T) {
 	o := DefaultOptions()
-	// A multi-entry profile exercises the sorted rendering: map
-	// iteration order must not leak into the fingerprint.
-	o.Profile = profile.Profile{
-		{Fn: "main", Ordinal: 5}: 7,
-		{Fn: "aux", Ordinal: 1}:  3,
-		{Fn: "main", Ordinal: 1}: 9,
-	}
+	// A multi-program document exercises the canonical rendering: the
+	// order programs were assembled in must not leak into the
+	// fingerprint.
+	o.SiteProfile = siteDoc(7, "hc", "ha", "hb")
 	fp := o.Fingerprint()
 	for i := 0; i < 50; i++ {
 		if got := o.Fingerprint(); got != fp {
 			t.Fatalf("fingerprint not deterministic: %q vs %q", got, fp)
 		}
+	}
+	o.SiteProfile = siteDoc(7, "hb", "ha", "hc")
+	if got := o.Fingerprint(); got != fp {
+		t.Fatalf("program order leaked into fingerprint: %q vs %q", got, fp)
 	}
 }
 

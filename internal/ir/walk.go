@@ -45,24 +45,20 @@ func WalkInstrs(fn *Func, f func(*Instr)) {
 	})
 }
 
-// WalkBlocks visits every block in fn, outermost first.
-func WalkBlocks(fn *Func, f func(*Block)) {
-	var rec func(b *Block)
-	rec = func(b *Block) {
-		f(b)
-		for _, n := range b.Nodes {
-			switch n := n.(type) {
-			case *If:
-				rec(n.Then)
-				rec(n.Else)
-			case *ForEach:
-				rec(n.Body)
-			case *DoWhile:
-				rec(n.Body)
-			}
+// AllocOrdinals returns each `new` instruction's ordinal among fn's
+// allocations, in WalkInstrs order. The ADE transform inserts
+// translations but never allocations, so the ordinal survives it and
+// serves as the stable half of the telemetry site key shared by the
+// compiler's remarks, both engines' runtime recorders and
+// adeprofile/v1 documents.
+func AllocOrdinals(fn *Func) map[*Instr]int {
+	out := map[*Instr]int{}
+	WalkInstrs(fn, func(in *Instr) {
+		if in.Op == OpNew {
+			out[in] = len(out)
 		}
-	}
-	rec(fn.Body)
+	})
+	return out
 }
 
 // FinalizeSlots assigns a frame slot to every non-constant value in fn

@@ -71,8 +71,7 @@ type VM struct {
 }
 
 // New returns a VM for the compiled program. Options are normalized
-// exactly as interp.New does; CollectProfile is interpreter-only and
-// ignored here (profile-guided runs stay on the interpreter).
+// exactly as interp.New does.
 func New(prog *bytecode.Prog, opts interp.Options) *VM {
 	if opts.MemSampleEvery <= 0 {
 		opts.MemSampleEvery = 512

@@ -24,13 +24,14 @@ import (
 	"fmt"
 	"time"
 
+	"memoir/internal/adeprofile"
 	"memoir/internal/bytecode"
 	"memoir/internal/collections"
 	"memoir/internal/core"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
 	"memoir/internal/parser"
-	"memoir/internal/profile"
+	"memoir/internal/telemetry"
 	"memoir/internal/vm"
 )
 
@@ -103,24 +104,27 @@ func WithSwissDefaults() Option {
 	}
 }
 
-// Profile carries dynamic execution counts from a profiling run back
-// into the benefit heuristic (the extension §III-C sketches).
-type Profile = profile.Profile
+// Profile carries dynamic per-site operation counts from a profiling
+// run back into the benefit heuristic (the extension §III-C sketches).
+// It is the durable adeprofile/v1 document adec -profile reads.
+type Profile = adeprofile.Profile
 
-// WithProfile weights the benefit heuristic by the given execution
-// profile, so cold code contributes no benefit and cold collections
-// are not enumerated.
-func WithProfile(p Profile) Option {
-	return func(c *config) { c.opts.Profile = p }
+// WithProfile weights the benefit heuristic and implementation
+// selection by the given profile, so cold code contributes no benefit
+// and cold collections are not enumerated. A profile collected from a
+// different program is reported as stale in Report and ignored.
+func WithProfile(p *Profile) Option {
+	return func(c *config) { c.opts.SiteProfile = p }
 }
 
-// CollectProfile executes entry and returns the per-instruction
-// execution profile. Profiles are keyed stably, so a profile collected
-// on one Compile of a source applies to another Compile of the same
-// source.
-func (p *Program) CollectProfile(entry string, args ...uint64) (Profile, error) {
+// CollectProfile executes entry and returns the run's profile, keyed
+// by the program's hash. Collect it on an untransformed program (from
+// Parse, or Compile with WithoutADE): it then applies to any Compile
+// of the same source.
+func (p *Program) CollectProfile(entry string, args ...uint64) (*Profile, error) {
+	rec := telemetry.NewRecorder()
 	opts := interp.DefaultOptions()
-	opts.CollectProfile = true
+	opts.Telemetry = rec
 	ip := interp.New(p.IR, opts)
 	vals := make([]interp.Val, len(args))
 	for i, a := range args {
@@ -129,7 +133,7 @@ func (p *Program) CollectProfile(entry string, args ...uint64) (Profile, error) 
 	if _, err := ip.Run(entry, vals...); err != nil {
 		return nil, err
 	}
-	return ip.Profile(), nil
+	return adeprofile.FromTelemetry(ir.ProgramHash(p.IR), "", rec.Result()), nil
 }
 
 // Parse reads a textual MEMOIR program without transforming it.

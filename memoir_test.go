@@ -1,6 +1,7 @@
 package memoir
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -141,5 +142,84 @@ func TestSparseSetsOption(t *testing.T) {
 	rb, _ := base.Run("main")
 	if r.Checksum != rb.Checksum {
 		t.Fatal("sparse-set configuration changed output")
+	}
+}
+
+// TestCollectProfileGuidesCompile drives the profile loop through the
+// public API: a profile collected on coldmap's untransformed program
+// skips the cold %vstats map without changing the result, and a
+// profile collected from another program is reported stale and
+// ignored.
+func TestCollectProfileGuidesCompile(t *testing.T) {
+	raw, err := os.ReadFile("testdata/coldmap.mir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(raw)
+	run := func(p *Program) *Result {
+		t.Helper()
+		r, err := p.Run("main", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	parsed, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := parsed.CollectProfile("main", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pgo, err := Compile(src, WithProfile(prof))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(pgo.Report, "profile: weighted") {
+		t.Fatalf("profile not applied:\n%s", pgo.Report)
+	}
+	skipped := false
+	for _, l := range strings.Split(pgo.Report, "\n") {
+		if strings.HasPrefix(l, "skipped: ") && strings.Contains(l, "%vstats") {
+			skipped = true
+		}
+	}
+	if !skipped {
+		t.Fatalf("profile-guided compile should skip %%vstats:\n%s", pgo.Report)
+	}
+	if pgo.Text() == static.Text() {
+		t.Fatal("profile did not change the compiled program")
+	}
+	base, err := Compile(src, WithoutADE())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, rs, rp := run(base), run(static), run(pgo)
+	if rp.Value != rb.Value || rp.Checksum != rb.Checksum || rs.Value != rb.Value || rs.Checksum != rb.Checksum {
+		t.Fatalf("results differ: base=%+v static=%+v pgo=%+v", rb, rs, rp)
+	}
+
+	other, err := Parse(histSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := other.CollectProfile("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := Compile(src, WithProfile(stale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sp.Report, "profile: stale") {
+		t.Fatalf("foreign profile not reported stale:\n%s", sp.Report)
+	}
+	if sp.Text() != static.Text() {
+		t.Fatal("stale profile changed the compiled program")
 	}
 }
