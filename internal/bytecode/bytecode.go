@@ -64,8 +64,8 @@ const (
 
 	// Collection construction.
 	OpNewColl    // Dst = new collection, allocation site Aux
-	OpNewEnum    // Dst = new enumeration
-	OpEnumGlobal // Dst = enumeration global Globals[Aux]
+	OpNewEnum    // Dst = new enumeration; Imm = 1 keys it by raw words
+	OpEnumGlobal // Dst = enumeration global Globals[Aux]; Imm as OpNewEnum
 
 	// Collection queries/updates, specialized by collection kind.
 	OpReadMap      // Dst = A[B]

@@ -75,6 +75,14 @@ func (p *progCompiler) msgRef(msg string) int32 {
 	return int32(len(p.out.Msgs) - 1)
 }
 
+// enumWords encodes interp.EnumWords as an instruction immediate.
+func enumWords(in *ir.Instr) uint64 {
+	if interp.EnumWords(in) {
+		return 1
+	}
+	return 0
+}
+
 type loopKind uint8
 
 const (
@@ -423,10 +431,10 @@ func (c *funcCompiler) genInstr(in *ir.Instr) {
 		c.emit(Instr{Op: OpNewColl, Dst: dst, Aux: site, A: NoOperand, B: NoOperand, C: NoOperand})
 
 	case ir.OpNewEnum:
-		c.emit(Instr{Op: OpNewEnum, Dst: dst, A: NoOperand, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpNewEnum, Dst: dst, A: NoOperand, B: NoOperand, C: NoOperand, Imm: enumWords(in)})
 
 	case ir.OpEnumGlobal:
-		c.emit(Instr{Op: OpEnumGlobal, Dst: dst, Aux: c.p.globalRef(in.Callee), A: NoOperand, B: NoOperand, C: NoOperand})
+		c.emit(Instr{Op: OpEnumGlobal, Dst: dst, Aux: c.p.globalRef(in.Callee), A: NoOperand, B: NoOperand, C: NoOperand, Imm: enumWords(in)})
 
 	case ir.OpRead:
 		a, b := c.operand(in.Args[0]), c.operand(in.Args[1])

@@ -188,3 +188,58 @@ func BenchmarkEnumStyleInternDedup(b *testing.B) {
 		}
 	}
 }
+
+// boxedVal has the layout of the interpreter's runtime value (a kind
+// tag, a word, a string and an interface): the boxed storage the
+// word-backed containers stand in for.
+type boxedVal struct {
+	k   uint8
+	i   uint64
+	s   string
+	ref any
+}
+
+var boxedLayout = LayoutOf[boxedVal]()
+
+// The {Val,U64} pairs compare boxed storage with word storage that
+// models it (same Bytes, same reallocation points).
+
+func BenchmarkSeqAppendVal(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := NewSeq[boxedVal]()
+		for k := uint64(0); k < benchN; k++ {
+			s.Append(boxedVal{i: k})
+		}
+	}
+}
+
+func BenchmarkSeqAppendU64(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := NewSeqLayout[uint64](boxedLayout)
+		for k := uint64(0); k < benchN; k++ {
+			s.Append(k)
+		}
+	}
+}
+
+func BenchmarkBitMapPutVal(b *testing.B) {
+	ids := benchIDs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewBitMap[boxedVal]()
+		for _, k := range ids {
+			m.Put(k, boxedVal{i: uint64(k)})
+		}
+	}
+}
+
+func BenchmarkBitMapPutU64(b *testing.B) {
+	ids := benchIDs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewBitMapLayout[uint64](boxedLayout)
+		for _, k := range ids {
+			m.Put(k, uint64(k))
+		}
+	}
+}

@@ -9,10 +9,16 @@ import "unsafe"
 type BitMap[V any] struct {
 	present BitSet
 	vals    []V
+	layout  *Layout // nil: V's own size
 }
 
 // NewBitMap returns an empty dense map.
 func NewBitMap[V any]() *BitMap[V] { return &BitMap[V]{} }
+
+// NewBitMapLayout returns an empty dense map whose value array reports
+// l's element size. Growth needs no modeling: the map sizes its array
+// explicitly, never through append.
+func NewBitMapLayout[V any](l *Layout) *BitMap[V] { return &BitMap[V]{layout: l} }
 
 // NewBitMapWithCap returns an empty dense map pre-sized for keys < k.
 func NewBitMapWithCap[V any](k uint32) *BitMap[V] {
@@ -79,15 +85,7 @@ func (m *BitMap[V]) Len() int { return m.present.Len() }
 // Iterate calls f for each entry in increasing key order until f
 // returns false.
 func (m *BitMap[V]) Iterate(f func(k uint32, v V) bool) {
-	stopped := false
-	m.present.Iterate(func(k uint32) bool {
-		if !f(k, m.vals[k]) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	_ = stopped
+	m.present.Iterate(func(k uint32) bool { return f(k, m.vals[k]) })
 }
 
 // Clear removes all entries, keeping capacity.
@@ -107,7 +105,7 @@ func (m *BitMap[V]) WordCount() int { return len(m.present.Words()) }
 // Bytes models the storage footprint: k·(1+bits(T)).
 func (m *BitMap[V]) Bytes() int64 {
 	var zero V
-	return int64(cap(m.vals))*int64(unsafe.Sizeof(zero)) + m.present.Bytes()
+	return int64(cap(m.vals))*m.layout.sizeOr(unsafe.Sizeof(zero)) + m.present.Bytes()
 }
 
 // Kind reports the implementation.

@@ -6,11 +6,17 @@ import "unsafe"
 // selection space (Table I row Seq<T>/Array). Reads and writes are
 // O(1); positional insert and remove are O(n).
 type Seq[T any] struct {
-	elems []T
+	elems  []T
+	layout *Layout // nil: T's own size and append's growth
 }
 
 // NewSeq returns an empty sequence.
 func NewSeq[T any]() *Seq[T] { return &Seq[T]{} }
+
+// NewSeqLayout returns an empty sequence whose storage models l: it
+// reports l's element size and reallocates as a slice of l's element
+// type would.
+func NewSeqLayout[T any](l *Layout) *Seq[T] { return &Seq[T]{layout: l} }
 
 // NewSeqWithCap returns an empty sequence with capacity for n elements.
 func NewSeqWithCap[T any](n int) *Seq[T] {
@@ -28,16 +34,30 @@ func (s *Seq[T]) Set(i int, v T) { s.elems[i] = v }
 
 // Append adds v at the end and returns its index.
 func (s *Seq[T]) Append(v T) int {
+	if s.layout != nil && len(s.elems) == cap(s.elems) {
+		s.regrow()
+	}
 	s.elems = append(s.elems, v)
 	return len(s.elems) - 1
 }
 
 // InsertAt inserts v before index i (i may equal Len to append).
 func (s *Seq[T]) InsertAt(i int, v T) {
+	if s.layout != nil && len(s.elems) == cap(s.elems) {
+		s.regrow()
+	}
 	var zero T
 	s.elems = append(s.elems, zero)
 	copy(s.elems[i+1:], s.elems[i:])
 	s.elems[i] = v
+}
+
+// regrow reallocates a full sequence to the capacity its layout's
+// element type would grow to, so the append that follows fits.
+func (s *Seq[T]) regrow() {
+	w := make([]T, len(s.elems), s.layout.nextCap(cap(s.elems)))
+	copy(w, s.elems)
+	s.elems = w
 }
 
 // RemoveAt deletes the element at index i, shifting the tail left.
@@ -64,7 +84,7 @@ func (s *Seq[T]) Slice() []T { return s.elems }
 // Bytes models the storage footprint: capacity times element size.
 func (s *Seq[T]) Bytes() int64 {
 	var zero T
-	return int64(cap(s.elems)) * int64(unsafe.Sizeof(zero))
+	return int64(cap(s.elems)) * s.layout.sizeOr(unsafe.Sizeof(zero))
 }
 
 // Kind reports the implementation.

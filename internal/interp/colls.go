@@ -12,9 +12,12 @@ import (
 // state a single forward use chain.
 //
 // The frequent implementations are exported concrete types (RSetHash,
-// RSetBits, RSetSparse, RMapHash, RMapBit, RSeqArr) so the bytecode
-// VM can devirtualize its hot collection opcodes with a type switch;
-// rarer implementations stay behind the generic rsetG/rmapG wrappers.
+// RSetBits, RSetSparse, RMapHash, RMapBit, RMapBitVal, RSeqArr,
+// RSeqVal) so the bytecode VM can devirtualize its hot collection
+// opcodes with a type switch; rarer implementations stay behind the
+// generic rsetG/rmapG wrappers. Sequences and dense maps come in two
+// representations chosen by the IR element type: raw uint64 words for
+// integer elements, boxed Vals otherwise. Both model the same bytes.
 type Coll interface {
 	CollKind() ir.CollKind
 	Impl() collections.Impl
@@ -163,11 +166,12 @@ func (r *rmapG) HasKey(k Val) bool             { return r.m.Has(k) }
 func (r *rmapG) Remove(k Val) bool             { return r.m.Remove(k) }
 func (r *rmapG) Iterate(f func(k, v Val) bool) { r.m.Iterate(f) }
 
-// --- dense (idx-keyed) map: BitMap ---
+// --- dense (idx-keyed) maps: BitMap ---
 
-// RMapBit is the Map{BitMap} runtime map.
+// RMapBit is the Map{BitMap} runtime map over integer values, stored
+// as raw words.
 type RMapBit struct {
-	M *collections.BitMap[Val]
+	M *collections.BitMap[uint64]
 	t *ir.CollType
 }
 
@@ -177,34 +181,99 @@ func (r *RMapBit) ElemType() ir.Type      { return r.t.Elem }
 func (r *RMapBit) Len() int               { return r.M.Len() }
 func (r *RMapBit) Bytes() int64           { return r.M.Bytes() }
 func (r *RMapBit) Clear()                 { r.M.Clear() }
-func (r *RMapBit) Get(k Val) (Val, bool)  { return r.M.Get(uint32(k.I)) }
-func (r *RMapBit) Put(k, v Val)           { r.M.Put(uint32(k.I), v) }
-func (r *RMapBit) HasKey(k Val) bool      { return r.M.Has(uint32(k.I)) }
-func (r *RMapBit) Remove(k Val) bool      { return r.M.Remove(uint32(k.I)) }
+func (r *RMapBit) Get(k Val) (Val, bool) {
+	w, ok := r.M.Get(uint32(k.I))
+	return IntV(w), ok
+}
+func (r *RMapBit) Put(k, v Val)      { r.M.Put(uint32(k.I), v.I) }
+func (r *RMapBit) HasKey(k Val) bool { return r.M.Has(uint32(k.I)) }
+func (r *RMapBit) Remove(k Val) bool { return r.M.Remove(uint32(k.I)) }
 func (r *RMapBit) Iterate(f func(k, v Val) bool) {
+	r.M.Iterate(func(k uint32, w uint64) bool { return f(IntV(uint64(k)), IntV(w)) })
+}
+
+// RMapBitVal is the Map{BitMap} runtime map over boxed values: floats,
+// strings, tuples and nested collections.
+type RMapBitVal struct {
+	M *collections.BitMap[Val]
+	t *ir.CollType
+}
+
+func (r *RMapBitVal) CollKind() ir.CollKind  { return ir.KMap }
+func (r *RMapBitVal) Impl() collections.Impl { return collections.ImplBitMap }
+func (r *RMapBitVal) ElemType() ir.Type      { return r.t.Elem }
+func (r *RMapBitVal) Len() int               { return r.M.Len() }
+func (r *RMapBitVal) Bytes() int64           { return r.M.Bytes() }
+func (r *RMapBitVal) Clear()                 { r.M.Clear() }
+func (r *RMapBitVal) Get(k Val) (Val, bool)  { return r.M.Get(uint32(k.I)) }
+func (r *RMapBitVal) Put(k, v Val)           { r.M.Put(uint32(k.I), v) }
+func (r *RMapBitVal) HasKey(k Val) bool      { return r.M.Has(uint32(k.I)) }
+func (r *RMapBitVal) Remove(k Val) bool      { return r.M.Remove(uint32(k.I)) }
+func (r *RMapBitVal) Iterate(f func(k, v Val) bool) {
 	r.M.Iterate(func(k uint32, v Val) bool { return f(IntV(uint64(k)), v) })
 }
 
-// --- sequence ---
+// --- sequences ---
 
-// RSeqArr is the array-backed runtime sequence.
+// RSeqArr is the array-backed runtime sequence over integer elements,
+// stored as raw words.
 type RSeqArr struct {
+	S *collections.Seq[uint64]
+	t *ir.CollType
+}
+
+func (r *RSeqArr) CollKind() ir.CollKind  { return ir.KSeq }
+func (r *RSeqArr) Impl() collections.Impl { return collections.ImplArray }
+func (r *RSeqArr) ElemType() ir.Type      { return r.t.Elem }
+func (r *RSeqArr) Len() int               { return r.S.Len() }
+func (r *RSeqArr) Bytes() int64           { return r.S.Bytes() }
+func (r *RSeqArr) Clear()                 { r.S.Clear() }
+func (r *RSeqArr) Get(i int) Val          { return IntV(r.S.Get(i)) }
+func (r *RSeqArr) Set(i int, v Val)       { r.S.Set(i, v.I) }
+func (r *RSeqArr) Append(v Val)           { r.S.Append(v.I) }
+func (r *RSeqArr) InsertAt(i int, v Val)  { r.S.InsertAt(i, v.I) }
+func (r *RSeqArr) RemoveAt(i int)         { r.S.RemoveAt(i) }
+func (r *RSeqArr) Iterate(f func(int, Val) bool) {
+	r.S.Iterate(func(i int, w uint64) bool { return f(i, IntV(w)) })
+}
+
+// RSeqVal is the array-backed runtime sequence over boxed elements.
+type RSeqVal struct {
 	S *collections.Seq[Val]
 	t *ir.CollType
 }
 
-func (r *RSeqArr) CollKind() ir.CollKind         { return ir.KSeq }
-func (r *RSeqArr) Impl() collections.Impl        { return collections.ImplArray }
-func (r *RSeqArr) ElemType() ir.Type             { return r.t.Elem }
-func (r *RSeqArr) Len() int                      { return r.S.Len() }
-func (r *RSeqArr) Bytes() int64                  { return r.S.Bytes() }
-func (r *RSeqArr) Clear()                        { r.S.Clear() }
-func (r *RSeqArr) Get(i int) Val                 { return r.S.Get(i) }
-func (r *RSeqArr) Set(i int, v Val)              { r.S.Set(i, v) }
-func (r *RSeqArr) Append(v Val)                  { r.S.Append(v) }
-func (r *RSeqArr) InsertAt(i int, v Val)         { r.S.InsertAt(i, v) }
-func (r *RSeqArr) RemoveAt(i int)                { r.S.RemoveAt(i) }
-func (r *RSeqArr) Iterate(f func(int, Val) bool) { r.S.Iterate(f) }
+func (r *RSeqVal) CollKind() ir.CollKind         { return ir.KSeq }
+func (r *RSeqVal) Impl() collections.Impl        { return collections.ImplArray }
+func (r *RSeqVal) ElemType() ir.Type             { return r.t.Elem }
+func (r *RSeqVal) Len() int                      { return r.S.Len() }
+func (r *RSeqVal) Bytes() int64                  { return r.S.Bytes() }
+func (r *RSeqVal) Clear()                        { r.S.Clear() }
+func (r *RSeqVal) Get(i int) Val                 { return r.S.Get(i) }
+func (r *RSeqVal) Set(i int, v Val)              { r.S.Set(i, v) }
+func (r *RSeqVal) Append(v Val)                  { r.S.Append(v) }
+func (r *RSeqVal) InsertAt(i int, v Val)         { r.S.InsertAt(i, v) }
+func (r *RSeqVal) RemoveAt(i int)                { r.S.RemoveAt(i) }
+func (r *RSeqVal) Iterate(f func(int, Val) bool) { r.S.Iterate(f) }
+
+// valLayout makes word storage model the boxed Val storage it
+// replaces: identical Bytes() and identical reallocation points.
+var valLayout = collections.LayoutOf[Val]()
+
+// isWord reports whether values of type t are stored as raw uint64
+// words: every integer-like scalar (everything but f32, f64 and str).
+// Collections of any other element type keep boxed Val storage.
+func isWord(t ir.Type) bool {
+	st, ok := t.(*ir.ScalarType)
+	if !ok {
+		return false
+	}
+	switch st.Kind {
+	case ir.F32, ir.F64, ir.Str:
+		return false
+	}
+	return true
+}
 
 // NewColl materializes an empty collection of type ct, honoring its
 // selection annotation (unselected types fall back to the configured
@@ -226,7 +295,11 @@ func NewCollFor(ct *ir.CollType, defSet, defMap collections.Impl) Coll {
 	var c Coll
 	switch ct.Kind {
 	case ir.KSeq:
-		c = &RSeqArr{S: collections.NewSeq[Val](), t: ct}
+		if isWord(ct.Elem) {
+			c = &RSeqArr{S: collections.NewSeqLayout[uint64](valLayout), t: ct}
+		} else {
+			c = &RSeqVal{S: collections.NewSeq[Val](), t: ct}
+		}
 	case ir.KSet:
 		sel := ct.Sel
 		if sel == collections.ImplNone {
@@ -251,7 +324,11 @@ func NewCollFor(ct *ir.CollType, defSet, defMap collections.Impl) Coll {
 		}
 		switch sel {
 		case collections.ImplBitMap:
-			c = &RMapBit{M: collections.NewBitMap[Val](), t: ct}
+			if isWord(ct.Elem) {
+				c = &RMapBit{M: collections.NewBitMapLayout[uint64](valLayout), t: ct}
+			} else {
+				c = &RMapBitVal{M: collections.NewBitMap[Val](), t: ct}
+			}
 		case collections.ImplSwissMap:
 			c = &rmapG{m: collections.NewSwissMap[Val, Val](HashVal, EqVal), t: ct}
 		default:

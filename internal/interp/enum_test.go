@@ -13,8 +13,14 @@ import (
 // dec(enc(v)) = v on the populated domain, and identifiers are
 // contiguous [0, N) in first-add order.
 func TestQuickEnumRoundTrip(t *testing.T) {
+	for _, words := range []bool{false, true} {
+		testQuickEnumRoundTrip(t, words)
+	}
+}
+
+func testQuickEnumRoundTrip(t *testing.T, words bool) {
 	f := func(vals []uint64) bool {
-		e := NewEnum()
+		e := NewEnum(words)
 		seen := map[uint64]uint32{}
 		for _, x := range vals {
 			id, added := e.Add(IntV(x))
@@ -51,8 +57,14 @@ func TestQuickEnumRoundTrip(t *testing.T) {
 // dec is injective: distinct identifiers decode to distinct values —
 // the premise of the eq(dec x, dec y) → eq(x, y) rewrite.
 func TestQuickEnumDecInjective(t *testing.T) {
+	for _, words := range []bool{false, true} {
+		testQuickEnumDecInjective(t, words)
+	}
+}
+
+func testQuickEnumDecInjective(t *testing.T, words bool) {
 	f := func(vals []uint64) bool {
-		e := NewEnum()
+		e := NewEnum(words)
 		for _, x := range vals {
 			e.Add(IntV(x))
 		}
@@ -74,7 +86,7 @@ func TestQuickEnumDecInjective(t *testing.T) {
 // Enc of an absent value yields the sentinel, which no dense container
 // ever holds.
 func TestEnumAbsentSentinel(t *testing.T) {
-	e := NewEnum()
+	e := NewEnum(false)
 	e.Add(StrV("present"))
 	if id, ok := e.Enc(StrV("absent")); ok || id == 0 {
 		_ = id

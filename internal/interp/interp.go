@@ -211,11 +211,11 @@ func (ip *Interp) allocKey(fn *ir.Func, in *ir.Instr) telemetry.SiteKey {
 }
 
 // Global returns the enumeration global named name, creating it on
-// first use.
-func (ip *Interp) Global(name string) *Enum {
+// first use (with word keys when words is set).
+func (ip *Interp) Global(name string, words bool) *Enum {
 	e, ok := ip.globals[name]
 	if !ok {
-		e = NewEnum()
+		e = NewEnum(words)
 		ip.globals[name] = e
 		ip.register(e)
 		if ip.tele != nil {
@@ -274,11 +274,17 @@ func CountIterSetup(st *Stats, rec *telemetry.Recorder, c Coll) {
 			rec.CollOp(c, telemetry.OpIterWord, n)
 		}
 	case *RMapBit:
-		n := uint64(c.M.WordCount())
-		st.Count(collections.ImplBitMap, OKIterWord, n)
-		if rec != nil {
-			rec.CollOp(c, telemetry.OpIterWord, n)
-		}
+		countBitMapIter(st, rec, c, c.M.WordCount())
+	case *RMapBitVal:
+		countBitMapIter(st, rec, c, c.M.WordCount())
+	}
+}
+
+func countBitMapIter(st *Stats, rec *telemetry.Recorder, c Coll, words int) {
+	n := uint64(words)
+	st.Count(collections.ImplBitMap, OKIterWord, n)
+	if rec != nil {
+		rec.CollOp(c, telemetry.OpIterWord, n)
 	}
 }
 

@@ -38,7 +38,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		setRes(0, CollV(c))
 
 	case ir.OpNewEnum:
-		e := NewEnum()
+		e := NewEnum(EnumWords(in))
 		ip.register(e)
 		if ip.tele != nil {
 			ip.tele.TrackEnum(e, "")
@@ -46,7 +46,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		setRes(0, EnumV(e))
 
 	case ir.OpEnumGlobal:
-		setRes(0, EnumV(ip.Global(in.Callee)))
+		setRes(0, EnumV(ip.Global(in.Callee, EnumWords(in))))
 
 	case ir.OpRead:
 		cv, err := ip.resolve(fn, fr, in.Args[0])

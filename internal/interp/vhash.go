@@ -1,8 +1,6 @@
 package interp
 
 import (
-	"unsafe"
-
 	"memoir/internal/collections"
 )
 
@@ -30,7 +28,7 @@ const vLoadNum, vLoadDen = 3, 4 // grow at 75% occupancy (full + tombstones)
 // the contract behind the VM's inlined table iteration.
 const SlotFull = vSlotFull
 
-var valBytes = int64(unsafe.Sizeof(Val{}))
+var valBytes = valLayout.ElemBytes()
 
 // ValMap is collections.HashMap[Val, Val] with the hash inlined: the
 // runtime table behind Map{HashMap} values on both engines.
@@ -393,5 +391,95 @@ func (m *valU32Map) Put(k Val, v uint32) {
 }
 
 func (m *valU32Map) Bytes() int64 {
+	return int64(len(m.keys))*valBytes + int64(len(m.vals))*4 + int64(len(m.state))
+}
+
+// wordU32Map is valU32Map over raw word keys: the encode half of
+// enumerations over integer domains. A word k hashes, probes and
+// compares exactly as IntV(k) does in valU32Map (HashVal of an integer
+// is Mix64 of its bits), and Bytes models Val-sized keys, so the two
+// tables are indistinguishable in every count and in the memory model.
+type wordU32Map struct {
+	keys  []uint64
+	vals  []uint32
+	state []uint8
+	n     int
+	used  int
+}
+
+func (m *wordU32Map) find(k uint64) (idx int, found bool) {
+	if len(m.keys) == 0 {
+		return -1, false
+	}
+	mask := uint64(len(m.keys) - 1)
+	i := collections.Mix64(k) & mask
+	firstTomb := -1
+	for {
+		switch m.state[i] {
+		case vSlotEmpty:
+			if firstTomb >= 0 {
+				return firstTomb, false
+			}
+			return int(i), false
+		case vSlotTomb:
+			if firstTomb < 0 {
+				firstTomb = int(i)
+			}
+		default:
+			if m.keys[i] == k {
+				return int(i), true
+			}
+		}
+		i = (i + 1) & mask
+	}
+}
+
+func (m *wordU32Map) grow() {
+	newCap := 8
+	if len(m.keys) > 0 {
+		newCap = len(m.keys)
+		if m.n*vLoadDen >= len(m.keys)*vLoadNum/2 {
+			newCap = len(m.keys) * 2
+		}
+	}
+	oldKeys, oldVals, oldState := m.keys, m.vals, m.state
+	m.keys = make([]uint64, newCap)
+	m.vals = make([]uint32, newCap)
+	m.state = make([]uint8, newCap)
+	m.n, m.used = 0, 0
+	for i, st := range oldState {
+		if st == vSlotFull {
+			m.Put(oldKeys[i], oldVals[i])
+		}
+	}
+}
+
+func (m *wordU32Map) Get(k uint64) (uint32, bool) {
+	idx, found := m.find(k)
+	if !found {
+		return 0, false
+	}
+	return m.vals[idx], true
+}
+
+func (m *wordU32Map) Put(k uint64, v uint32) {
+	if len(m.keys) == 0 || (m.used+1)*vLoadDen > len(m.keys)*vLoadNum {
+		m.grow()
+	}
+	idx, found := m.find(k)
+	if found {
+		m.vals[idx] = v
+		return
+	}
+	if m.state[idx] != vSlotTomb {
+		m.used++
+	}
+	m.keys[idx] = k
+	m.vals[idx] = v
+	m.state[idx] = vSlotFull
+	m.n++
+}
+
+func (m *wordU32Map) Bytes() int64 {
 	return int64(len(m.keys))*valBytes + int64(len(m.vals))*4 + int64(len(m.state))
 }

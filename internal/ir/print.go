@@ -130,7 +130,16 @@ func printInstr(sb *strings.Builder, in *Instr, depth int) {
 	case OpEnumAdd:
 		fmt.Fprintf(sb, "%scall @add(%s)", res, printArgs(in))
 	case OpNewEnum:
-		fmt.Fprintf(sb, "%snew Enum()", res)
+		// The domain defaults to u64 when omitted; any other domain is
+		// spelled out so a print/parse round trip keeps the type that
+		// decides the enumeration's runtime key storage.
+		ty := "Enum"
+		if r := in.Result(); r != nil {
+			if ct := AsColl(r.Type); ct != nil && ct.Key != nil && ct.Key.String() != "u64" {
+				ty = ct.String()
+			}
+		}
+		fmt.Fprintf(sb, "%snew %s()", res, ty)
 	case OpEnumGlobal:
 		domain := "u64"
 		if ct := AsColl(in.Result().Type); ct != nil && ct.Key != nil {

@@ -213,3 +213,34 @@ func clip(s string, lo, hi int) string {
 	}
 	return strings.ReplaceAll(s[lo:hi], "\n", "\\n")
 }
+
+// An enumeration's domain decides its runtime key storage (raw words
+// for integers, boxed values otherwise), so a non-u64 domain must
+// survive Print -> Parse: a str enumeration re-parsed as the default
+// u64 would store every string as the same word.
+func TestRoundTripEnumDomain(t *testing.T) {
+	const src = `
+fn u64 @main(): exported
+  %e := new Enum<str>()
+  (%e1, %a) := call @add(%e, "x")
+  (%e2, %b) := call @add(%e1, "y")
+  %n := cast<u64>(%b)
+  ret %n
+`
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := ir.Print(prog)
+	if !strings.Contains(text, "new Enum<str>()") {
+		t.Fatalf("printed enumeration lost its domain:\n%s", text)
+	}
+	reparsed, err := Parse(text)
+	if err != nil {
+		t.Fatalf("reparse: %v\n%s", err, text)
+	}
+	ret, err := interp.New(reparsed, interp.DefaultOptions()).Run("main")
+	if err != nil || ret.I != 1 {
+		t.Fatalf("second distinct string got id %v, %v; want 1", ret, err)
+	}
+}

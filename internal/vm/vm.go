@@ -62,6 +62,19 @@ type VM struct {
 	// tele is non-nil when Options.Telemetry is set.
 	tele *telemetry.Recorder
 
+	// The register stack: frames are carved from chunks that are kept
+	// for reuse, so once the stack has grown to a program's call depth
+	// a call allocates nothing. sp is the next free register of
+	// chunks[ci]; marks[i] is chunk i's top when chunk i+1 was entered.
+	chunks [][]interp.Val
+	chunk0 [1][]interp.Val // backs chunks until a second chunk is needed
+	marks  []int
+	ci, sp int
+
+	// iters is the stack of active inlined for-each cursors; each run
+	// segment owns the entries above the length it started at.
+	iters []iterState
+
 	// Output holds emitted values when RecordOutput is set.
 	Output []interp.Val
 
@@ -159,11 +172,11 @@ func (m *VM) sampleMem() {
 func (m *VM) FinalizeMem() { m.sampleMem() }
 
 // Global returns the enumeration global with the given Prog.Globals
-// index, creating it on first use.
-func (m *VM) global(idx int32) *interp.Enum {
+// index, creating it on first use (with word keys when words is set).
+func (m *VM) global(idx int32, words bool) *interp.Enum {
 	e := m.globals[idx]
 	if e == nil {
-		e = interp.NewEnum()
+		e = interp.NewEnum(words)
 		m.globals[idx] = e
 		m.register(e)
 		if m.tele != nil {
@@ -194,25 +207,89 @@ func (m *VM) Run(name string, args ...interp.Val) (ret interp.Val, err error) {
 		return interp.Val{}, fmt.Errorf("vm: no function @%s", name)
 	}
 	f := m.Prog.Funcs[idx]
+	ci, sp, iters := m.ci, m.sp, len(m.iters)
 	defer func() {
 		if r := recover(); r != nil {
+			m.unwind(ci, sp, iters)
 			ret, err = interp.Val{}, interp.RecoveredError(r, f.Name, m.Stats.Steps)
 		}
 	}()
-	return m.call(f, args)
-}
-
-func (m *VM) call(f *bytecode.Func, args []interp.Val) (interp.Val, error) {
 	if len(args) != len(f.ParamRegs) {
 		return interp.Val{}, m.errf(f, "called with %d args, want %d", len(args), len(f.ParamRegs))
 	}
-	fr := make([]interp.Val, f.FrameLen)
-	copy(fr[f.NumSlots:], f.Consts)
+	fr := m.enter(f)
 	for i, r := range f.ParamRegs {
 		fr[r] = args[i]
 	}
+	return m.exec(f, fr)
+}
+
+// The first stack chunk holds firstFrames frames of the entry function
+// (at least minChunk registers); later chunks double.
+const (
+	firstFrames = 4
+	minChunk    = 64
+)
+
+// enter pushes a frame for f with its constant pool preloaded.
+func (m *VM) enter(f *bytecode.Func) []interp.Val {
+	n := f.FrameLen
+	if m.chunks == nil || m.sp+n > len(m.chunks[m.ci]) {
+		m.nextChunk(n)
+	}
+	fr := m.chunks[m.ci][m.sp : m.sp+n : m.sp+n]
+	m.sp += n
+	copy(fr[f.NumSlots:], f.Consts)
+	return fr
+}
+
+// nextChunk moves the stack top to a chunk with room for n registers,
+// reusing a retained chunk when it is large enough.
+func (m *VM) nextChunk(n int) {
+	if m.chunks == nil {
+		m.chunk0[0] = make([]interp.Val, max(firstFrames*n, minChunk))
+		m.chunks = m.chunk0[:]
+		return
+	}
+	m.marks = append(m.marks[:m.ci], m.sp)
+	m.ci++
+	m.sp = 0
+	if m.ci < len(m.chunks) && len(m.chunks[m.ci]) >= n {
+		return
+	}
+	m.chunks = append(m.chunks[:m.ci], make([]interp.Val, max(2*len(m.chunks[m.ci-1]), n)))
+}
+
+// exec runs f's body in fr, the topmost frame, then pops fr.
+func (m *VM) exec(f *bytecode.Func, fr []interp.Val) (interp.Val, error) {
 	ret, _, err := m.run(f, fr, 0, int32(len(f.Code)))
+	m.pop(fr)
 	return ret, err
+}
+
+// pop releases fr, the topmost frame, clearing it so the GC does not
+// retain what its registers referenced.
+func (m *VM) pop(fr []interp.Val) {
+	clear(fr)
+	m.sp -= len(fr)
+	if m.sp == 0 && m.ci > 0 {
+		m.ci--
+		m.sp = m.marks[m.ci]
+	}
+}
+
+// unwind restores the register and cursor stacks to a depth saved
+// before a call that panicked, clearing everything above it.
+func (m *VM) unwind(ci, sp, iters int) {
+	if m.chunks != nil {
+		clear(m.chunks[ci][sp:])
+		for _, c := range m.chunks[ci+1:] {
+			clear(c)
+		}
+	}
+	m.ci, m.sp = ci, sp
+	clear(m.iters[iters:])
+	m.iters = m.iters[:iters]
 }
 
 // get reads an operand: a plain register, or a register followed by a
@@ -251,7 +328,7 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 				return interp.Val{}, m.errf(f, "end index cannot be resolved as a value")
 			}
 			switch c := cur.Ref().(type) {
-			case *interp.RMapBit:
+			case *interp.RMapBitVal:
 				m.Stats.Count(collections.ImplBitMap, interp.OKRead, 1)
 				m.tcoll(c, interp.OKRead, 1)
 				v, ok := c.M.Get(uint32(key.I))
@@ -259,6 +336,14 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
 				}
 				cur = v
+			case *interp.RMapBit:
+				m.Stats.Count(collections.ImplBitMap, interp.OKRead, 1)
+				m.tcoll(c, interp.OKRead, 1)
+				w, ok := c.M.Get(uint32(key.I))
+				if !ok {
+					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
+				}
+				cur = interp.IntV(w)
 			case *interp.RMapHash:
 				m.Stats.Count(collections.ImplHashMap, interp.OKRead, 1)
 				m.tcoll(c, interp.OKRead, 1)
@@ -282,7 +367,7 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 				}
 				m.Stats.Count(collections.ImplArray, interp.OKRead, 1)
 				m.tcoll(c, interp.OKRead, 1)
-				cur = c.S.Get(i)
+				cur = interp.IntV(c.S.Get(i))
 			case interp.RSeq:
 				i := int(key.I)
 				if i < 0 || i >= c.Len() {
@@ -338,16 +423,18 @@ type iterState struct {
 	idx    int          // seq position / hash slot cursor
 	wi     int          // dense word index
 	w      uint64       // remaining bits of the current word
-	elems  []interp.Val // seq backing storage
-	words  []uint64     // dense presence words
+	elems  []interp.Val // boxed seq backing storage
+	words  []uint64     // dense presence words, or word seq storage
 	state  []uint8      // hash slot states
 	bm     *collections.BitMap[interp.Val]
+	bmw    *collections.BitMap[uint64]
 	vmap   *interp.ValMap
 	vset   *interp.ValSet
 }
 
 const (
 	itSeq uint8 = iota
+	itSeqWords
 	itDense
 	itHashMap
 	itHashSet
@@ -376,17 +463,17 @@ func (m *VM) run(f *bytecode.Func, fr []interp.Val, lo, hi int32) (rv interp.Val
 			budget = maxSteps - st.Steps
 		}
 	}
-	var iters []iterState
+	base := len(m.iters) // this segment's cursors are m.iters[base:]
 	pc := lo
 dispatch:
 	for {
 		if pc >= hi {
-			if len(iters) == 0 {
+			if len(m.iters) == base {
 				break
 			}
 			// End of an inlined loop body: advance the topmost
 			// iteration, or pop it and resume the enclosing segment.
-			it := &iters[len(iters)-1]
+			it := &m.iters[len(m.iters)-1]
 			switch it.kind {
 			case itSeq:
 				if it.idx < len(it.elems) {
@@ -395,6 +482,17 @@ dispatch:
 						*it.tcount++
 					}
 					fr[it.kReg], fr[it.vReg] = interp.IntV(uint64(it.idx)), it.elems[it.idx]
+					it.idx++
+					pc = it.bodyLo
+					continue dispatch
+				}
+			case itSeqWords:
+				if it.idx < len(it.words) {
+					*it.count++
+					if it.tcount != nil {
+						*it.tcount++
+					}
+					fr[it.kReg], fr[it.vReg] = interp.IntV(uint64(it.idx)), interp.IntV(it.words[it.idx])
 					it.idx++
 					pc = it.bodyLo
 					continue dispatch
@@ -413,9 +511,12 @@ dispatch:
 						*it.tcount++
 					}
 					kv := interp.IntV(uint64(k))
-					if it.bm != nil {
+					switch {
+					case it.bmw != nil:
+						fr[it.kReg], fr[it.vReg] = kv, interp.IntV(it.bmw.At(k))
+					case it.bm != nil:
 						fr[it.kReg], fr[it.vReg] = kv, it.bm.At(k)
-					} else {
+					default:
 						fr[it.kReg], fr[it.vReg] = kv, kv
 					}
 					pc = it.bodyLo
@@ -453,7 +554,8 @@ dispatch:
 			}
 			pc = it.contPC
 			hi = it.retHi
-			iters = iters[:len(iters)-1]
+			*it = iterState{}
+			m.iters = m.iters[:len(m.iters)-1]
 			continue
 		}
 		in := &code[pc]
@@ -526,27 +628,23 @@ dispatch:
 			// visit order, same behaviour under mid-iteration mutation)
 			// and let the dispatch loop advance it. The local tallies
 			// keep accumulating — the body runs in this same frame.
+			it := iterState{kReg: kReg, vReg: vReg, bodyLo: bodyLo, contPC: bodyHi, retHi: hi,
+				count: iterCount, tcount: tcount, wi: -1}
 			switch c := coll.(type) {
 			case *interp.RSeqArr:
-				iters = append(iters, iterState{kind: itSeq, kReg: kReg, vReg: vReg,
-					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, elems: c.S.Slice()})
-				pc, hi = bodyHi, bodyHi
+				it.kind, it.words = itSeqWords, c.S.Slice()
+			case *interp.RSeqVal:
+				it.kind, it.elems = itSeq, c.S.Slice()
 			case *interp.RSetBits:
-				iters = append(iters, iterState{kind: itDense, kReg: kReg, vReg: vReg,
-					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, wi: -1, words: c.S.Words()})
-				pc, hi = bodyHi, bodyHi
+				it.kind, it.words = itDense, c.S.Words()
 			case *interp.RMapBit:
-				iters = append(iters, iterState{kind: itDense, kReg: kReg, vReg: vReg,
-					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, wi: -1, words: c.M.Words(), bm: c.M})
-				pc, hi = bodyHi, bodyHi
+				it.kind, it.words, it.bmw = itDense, c.M.Words(), c.M
+			case *interp.RMapBitVal:
+				it.kind, it.words, it.bm = itDense, c.M.Words(), c.M
 			case *interp.RMapHash:
-				iters = append(iters, iterState{kind: itHashMap, kReg: kReg, vReg: vReg,
-					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, state: c.States(), vmap: &c.ValMap})
-				pc, hi = bodyHi, bodyHi
+				it.kind, it.state, it.vmap = itHashMap, c.States(), &c.ValMap
 			case *interp.RSetHash:
-				iters = append(iters, iterState{kind: itHashSet, kReg: kReg, vReg: vReg,
-					bodyLo: bodyLo, contPC: bodyHi, retHi: hi, count: iterCount, tcount: tcount, state: c.States(), vset: &c.ValSet})
-				pc, hi = bodyHi, bodyHi
+				it.kind, it.state, it.vset = itHashSet, c.States(), &c.ValSet
 			default:
 				// Callback path: the body runs in nested frames
 				// accounting directly against the shared Stats, so
@@ -595,7 +693,10 @@ dispatch:
 					}
 				}
 				pc = bodyHi
+				continue
 			}
+			m.iters = append(m.iters, it)
+			pc, hi = bodyHi, bodyHi
 
 		case bytecode.OpReturn:
 			rv = fr[in.A.Reg]
@@ -604,7 +705,7 @@ dispatch:
 					goto out
 				}
 			}
-			if len(iters) > 0 {
+			if len(m.iters) > base {
 				err = m.errf(f, "return inside for-each is unsupported")
 				goto out
 			}
@@ -612,7 +713,7 @@ dispatch:
 			goto out
 
 		case bytecode.OpReturnVoid:
-			if len(iters) > 0 {
+			if len(m.iters) > base {
 				err = m.errf(f, "return inside for-each is unsupported")
 				goto out
 			}
@@ -622,19 +723,34 @@ dispatch:
 		case bytecode.OpCall:
 			callee := m.Prog.Funcs[in.Aux]
 			list := f.ArgLists[in.Aux2]
-			args := make([]interp.Val, len(list))
+			if len(list) != len(callee.ParamRegs) {
+				// The arguments are still evaluated first: their
+				// errors and nested-read counts precede the arity error.
+				for _, o := range list {
+					if _, err = m.get(f, fr, o); err != nil {
+						goto out
+					}
+				}
+				err = m.errf(callee, "called with %d args, want %d", len(list), len(callee.ParamRegs))
+				goto out
+			}
+			// Arguments go straight into the callee's parameter
+			// registers: its frame is pushed first, and popped again if
+			// an argument fails to resolve.
+			cfr := m.enter(callee)
 			for i, o := range list {
 				var v interp.Val
 				if v, err = m.get(f, fr, o); err != nil {
+					m.pop(cfr)
 					goto out
 				}
-				args[i] = v
+				cfr[callee.ParamRegs[i]] = v
 			}
 			st.Steps += steps
 			st.Counts[collections.ImplNone][interp.OKScalar] += nscalar
 			steps, nscalar = 0, 0
 			var ret interp.Val
-			if ret, err = m.call(callee, args); err != nil {
+			if ret, err = m.exec(callee, cfr); err != nil {
 				goto out
 			}
 			budget = math.MaxUint64
@@ -655,6 +771,11 @@ dispatch:
 		case bytecode.OpNewColl:
 			site := &m.Prog.AllocSites[in.Aux]
 			if fa := m.opts.Faults; fa != nil && fa.FailAlloc() {
+				// The panic skips the out label: flush the tallies here
+				// so the Stats a recovered Run reports match the
+				// interpreter's.
+				st.Steps += steps
+				st.Counts[collections.ImplNone][interp.OKScalar] += nscalar
 				panic(&faults.InjectedFault{P: fa.Point()})
 			}
 			c := interp.NewCollFor(site.Type, m.opts.DefaultSet, m.opts.DefaultMap)
@@ -678,7 +799,7 @@ dispatch:
 			fr[in.Dst] = interp.CollV(c)
 
 		case bytecode.OpNewEnum:
-			e := interp.NewEnum()
+			e := interp.NewEnum(in.Imm != 0)
 			m.register(e)
 			if m.tele != nil {
 				m.tele.TrackEnum(e, "")
@@ -686,7 +807,7 @@ dispatch:
 			fr[in.Dst] = interp.EnumV(e)
 
 		case bytecode.OpEnumGlobal:
-			fr[in.Dst] = interp.EnumV(m.global(in.Aux))
+			fr[in.Dst] = interp.EnumV(m.global(in.Aux, in.Imm != 0))
 
 		case bytecode.OpReadMap:
 			cv := fr[in.A.Reg]
@@ -705,6 +826,10 @@ dispatch:
 			var ok bool
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
+				st.Count(collections.ImplBitMap, interp.OKRead, 1)
+				m.tcoll(c, interp.OKRead, 1)
+				v.I, ok = c.M.Get(uint32(key.I))
+			case *interp.RMapBitVal:
 				st.Count(collections.ImplBitMap, interp.OKRead, 1)
 				m.tcoll(c, interp.OKRead, 1)
 				v, ok = c.M.Get(uint32(key.I))
@@ -741,6 +866,15 @@ dispatch:
 			}
 			switch c := cv.Ref().(type) {
 			case *interp.RSeqArr:
+				i := int(key.I)
+				if i < 0 || i >= c.S.Len() {
+					err = m.errf(f, "seq read index %d out of range [0,%d)", i, c.S.Len())
+					goto out
+				}
+				st.Count(collections.ImplArray, interp.OKRead, 1)
+				m.tcoll(c, interp.OKRead, 1)
+				fr[in.Dst] = interp.IntV(c.S.Get(i))
+			case *interp.RSeqVal:
 				i := int(key.I)
 				if i < 0 || i >= c.S.Len() {
 					err = m.errf(f, "seq read index %d out of range [0,%d)", i, c.S.Len())
@@ -820,6 +954,10 @@ dispatch:
 				st.Count(collections.ImplBitMap, interp.OKHas, 1)
 				m.tcoll(c, interp.OKHas, 1)
 				has = c.M.Has(uint32(key.I))
+			case *interp.RMapBitVal:
+				st.Count(collections.ImplBitMap, interp.OKHas, 1)
+				m.tcoll(c, interp.OKHas, 1)
+				has = c.M.Has(uint32(key.I))
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKHas, 1)
 				m.tcoll(c, interp.OKHas, 1)
@@ -869,6 +1007,14 @@ dispatch:
 			}
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
+				st.Count(collections.ImplBitMap, interp.OKWrite, 1)
+				if !c.M.Has(uint32(key.I)) {
+					err = m.errf(f, "write to missing key %v (insert first)", key)
+					goto out
+				}
+				c.M.Put(uint32(key.I), val.I)
+				m.tcoll(c, interp.OKWrite, 1)
+			case *interp.RMapBitVal:
 				st.Count(collections.ImplBitMap, interp.OKWrite, 1)
 				if !c.M.Has(uint32(key.I)) {
 					err = m.errf(f, "write to missing key %v (insert first)", key)
@@ -972,6 +1118,14 @@ dispatch:
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpInsertMap:
+			if m.opts.Faults != nil {
+				// A boxed zero value may be a collection whose injected
+				// allocation failure panics: flush as at OpNewColl.
+				st.Steps += steps
+				st.Counts[collections.ImplNone][interp.OKScalar] += nscalar
+				budget -= steps
+				steps, nscalar = 0, 0
+			}
 			cv := fr[in.A.Reg]
 			if in.A.Path >= 0 {
 				if cv, err = m.walkPath(f, fr, cv, in.A.Path); err != nil {
@@ -986,6 +1140,14 @@ dispatch:
 			}
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
+				// An integer value's zero is the word 0: no collection
+				// to allocate or track.
+				st.Count(collections.ImplBitMap, interp.OKInsert, 1)
+				if !c.M.Has(uint32(key.I)) {
+					c.M.Put(uint32(key.I), 0)
+				}
+				m.tcoll(c, interp.OKInsert, 1)
+			case *interp.RMapBitVal:
 				st.Count(collections.ImplBitMap, interp.OKInsert, 1)
 				if !c.M.Has(uint32(key.I)) {
 					zv := interp.ZeroVal(c.ElemType(), m.NewColl)
@@ -1037,6 +1199,10 @@ dispatch:
 			}
 			switch c := cv.Ref().(type) {
 			case *interp.RSeqArr:
+				st.Count(collections.ImplArray, interp.OKInsert, 1)
+				m.tcoll(c, interp.OKInsert, 1)
+				c.S.Append(val.I)
+			case *interp.RSeqVal:
 				st.Count(collections.ImplArray, interp.OKInsert, 1)
 				m.tcoll(c, interp.OKInsert, 1)
 				c.S.Append(val)
@@ -1536,5 +1702,9 @@ dispatch:
 out:
 	st.Steps += steps
 	st.Counts[collections.ImplNone][interp.OKScalar] += nscalar
+	if len(m.iters) > base { // an error left this segment's loops open
+		clear(m.iters[base:])
+		m.iters = m.iters[:base]
+	}
 	return rv, returned, err
 }
