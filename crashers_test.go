@@ -24,6 +24,7 @@ import (
 // its expectation in leading comment directives:
 //
 //	// expect: parse-error | verify-error | step-budget | mem-budget | runtime-error | ok
+//	// error: TEXT       (the exact diagnostic both engines must report)
 //	// ade                (apply the full ADE pipeline before running)
 //	// max-steps: N       (step budget for the run)
 //	// max-mem: N         (modeled live-memory budget, bytes)
@@ -56,13 +57,21 @@ type crasherSpec struct {
 	maxSteps   uint64
 	maxBytes   int64
 	storeFault string
+	errText    string
 }
 
-var crasherDirective = regexp.MustCompile(`^// (expect|ade|max-steps|max-mem|store-fault)(?::\s*(\S+))?\s*$`)
+var (
+	crasherDirective = regexp.MustCompile(`^// (expect|ade|max-steps|max-mem|store-fault)(?::\s*(\S+))?\s*$`)
+	crasherErrText   = regexp.MustCompile(`^// error: (.+?)\s*$`)
+)
 
 func parseCrasherSpec(src string) (crasherSpec, error) {
 	var spec crasherSpec
 	for _, line := range strings.Split(src, "\n") {
+		if m := crasherErrText.FindStringSubmatch(line); m != nil {
+			spec.errText = m[1]
+			continue
+		}
 		m := crasherDirective.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -286,6 +295,9 @@ func replayCrasher(t *testing.T, path string) {
 	// final) telemetry.
 	if oi.errStr != ov.errStr {
 		t.Fatalf("engine error divergence:\n  interp: %q\n  vm:     %q", oi.errStr, ov.errStr)
+	}
+	if spec.errText != "" && oi.errStr != spec.errText {
+		t.Fatalf("diagnostic %q, want %q", oi.errStr, spec.errText)
 	}
 	if oi.steps != ov.steps {
 		t.Fatalf("engine step divergence at interruption: interp %d vs vm %d", oi.steps, ov.steps)

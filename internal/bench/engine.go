@@ -73,7 +73,7 @@ type Machine interface {
 func NewMachine(prog *ir.Program, opts interp.Options, eng Engine) (Machine, error) {
 	switch eng {
 	case EngineInterp:
-		return interpMachine{interp.New(prog, opts)}, nil
+		return NewInterpMachine(prog, opts), nil
 	case EngineVM:
 		bc, err := bytecode.Compile(prog)
 		if err != nil {
@@ -85,27 +85,40 @@ func NewMachine(prog *ir.Program, opts interp.Options, eng Engine) (Machine, err
 		if err := bytecode.Verify(bc); err != nil {
 			return nil, err
 		}
-		return vmMachine{vm.New(bc, opts)}, nil
+		return NewVMMachine(bc, opts), nil
 	}
 	return nil, fmt.Errorf("unknown engine %v", eng)
 }
 
-type interpMachine struct{ *interp.Interp }
-
-func (m interpMachine) Stats() *interp.Stats { return m.Interp.Stats }
-
-func (m interpMachine) ROITime() (time.Time, bool) {
-	return m.Interp.ROIStart, m.Interp.ROISnapshot != nil
+// NewInterpMachine returns the interpreter for prog as a Machine. The
+// interpreter finalizes slots lazily (a write to the IR), so
+// concurrent machines need private copies of prog.
+func NewInterpMachine(prog *ir.Program, opts interp.Options) Machine {
+	ip := interp.New(prog, opts)
+	return machine{ip, &ip.Runtime}
 }
 
-func (m interpMachine) RecordedOutput() []interp.Val { return m.Interp.Output }
-
-type vmMachine struct{ *vm.VM }
-
-func (m vmMachine) Stats() *interp.Stats { return m.VM.Stats }
-
-func (m vmMachine) ROITime() (time.Time, bool) {
-	return m.VM.ROIStart, m.VM.ROISnapshot != nil
+// NewVMMachine returns a VM for bc, which must have passed
+// bytecode.Verify, as a Machine. The bytecode is immutable: concurrent
+// machines may share it.
+func NewVMMachine(bc *bytecode.Prog, opts interp.Options) Machine {
+	m := vm.New(bc, opts)
+	return machine{m, &m.Runtime}
 }
 
-func (m vmMachine) RecordedOutput() []interp.Val { return m.VM.Output }
+// machine adapts either engine to Machine: Run comes from the engine,
+// the measurement surface from the run state it embeds.
+type machine struct {
+	runner
+	*interp.Runtime
+}
+
+type runner interface {
+	Run(name string, args ...interp.Val) (interp.Val, error)
+}
+
+func (m machine) Stats() *interp.Stats { return m.Runtime.Stats }
+
+func (m machine) ROITime() (time.Time, bool) { return m.ROIStart, m.ROISnapshot != nil }
+
+func (m machine) RecordedOutput() []interp.Val { return m.Output }

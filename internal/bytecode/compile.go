@@ -252,10 +252,10 @@ func (c *funcCompiler) argList(args []ir.Operand) int32 {
 	return int32(len(c.bc.ArgLists) - 1)
 }
 
-// raise emits the interpreter's runtime diagnostic, pre-prefixed with
-// the function name exactly as interp's execErr formats it.
+// raise emits the interpreter's runtime diagnostic, formatted at
+// compile time by the engines' shared interp.Errf.
 func (c *funcCompiler) raise(format string, args ...any) {
-	msg := "@" + c.fn.Name + ": " + fmt.Sprintf(format, args...)
+	msg := interp.Errf(c.fn.Name, format, args...).Error()
 	c.emit(Instr{Op: OpRaise, Aux: c.p.msgRef(msg), A: NoOperand, B: NoOperand, C: NoOperand})
 }
 

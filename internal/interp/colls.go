@@ -2,7 +2,6 @@ package interp
 
 import (
 	"memoir/internal/collections"
-	"memoir/internal/faults"
 	"memoir/internal/ir"
 )
 
@@ -275,23 +274,10 @@ func isWord(t ir.Type) bool {
 	return true
 }
 
-// NewColl materializes an empty collection of type ct, honoring its
-// selection annotation (unselected types fall back to the configured
-// defaults) and registering it for memory accounting.
-func (ip *Interp) NewColl(ct *ir.CollType) Coll {
-	if fa := ip.opts.Faults; fa != nil && fa.FailAlloc() {
-		panic(&faults.InjectedFault{P: fa.Point()})
-	}
-	c := NewCollFor(ct, ip.opts.DefaultSet, ip.opts.DefaultMap)
-	ip.register(c)
-	return c
-}
-
-// NewCollFor materializes an empty collection of type ct without
-// registering it anywhere: the shared constructor behind both
-// engines' registering NewColl wrappers. Unselected types fall back
-// to the given defaults.
-func NewCollFor(ct *ir.CollType, defSet, defMap collections.Impl) Coll {
+// newCollFor materializes an empty collection of type ct without
+// registering it anywhere (Runtime.NewColl registers). Unselected
+// types fall back to the given defaults.
+func newCollFor(ct *ir.CollType, defSet, defMap collections.Impl) Coll {
 	var c Coll
 	switch ct.Kind {
 	case ir.KSeq:

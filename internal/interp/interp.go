@@ -3,7 +3,6 @@ package interp
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"memoir/internal/collections"
 	"memoir/internal/faults"
@@ -65,261 +64,60 @@ type Options struct {
 	Telemetry *telemetry.Recorder
 }
 
-// DefaultOptions returns the baseline MEMOIR configuration.
-func DefaultOptions() Options {
-	return Options{
-		DefaultSet:     collections.ImplHashSet,
-		DefaultMap:     collections.ImplHashMap,
-		MemSampleEvery: 512,
-	}
-}
+// DefaultOptions returns the baseline MEMOIR configuration: the
+// normalized form of the zero Options.
+func DefaultOptions() Options { return normalize(Options{}) }
 
-// Interp executes a MEMOIR program.
+// Interp executes a MEMOIR program by walking its IR tree.
 type Interp struct {
-	Prog  *ir.Program
-	Stats *Stats
-	opts  Options
+	Runtime
+	Prog *ir.Program
 
 	// Enumeration globals created by ADE's interprocedural stage: one
 	// per enumeration equivalence class (§III-F).
 	globals map[string]*Enum
 
-	live        []interface{ Bytes() int64 }
-	untilSample int
+	// localSlot holds the reusable registry slot of each
+	// iteration-local allocation (-1 until its first instance).
+	localSlot map[*ir.Instr]*int32
 
-	// limited is true when any interruption source (step budget,
-	// memory budget, context) is configured; the dispatch fast path
-	// checks this single bool before the full interruption test.
-	limited bool
-
-	// stop holds a pending memory-budget violation detected during a
-	// footprint sample; it surfaces at the next step checkpoint so
-	// both engines abort at the same dynamic point.
-	stop *LimitError
-
-	// Iteration-local allocations (a fresh collection per loop
-	// iteration that is never carried across iterations) occupy one
-	// registry slot that each new instance replaces — modeling the
-	// allocator reclaiming the dead instance, so peak memory is not
-	// the sum of every instance ever created.
-	iterLocal map[*ir.Instr]bool
-	localSlot map[*ir.Instr]int
+	// allocOrds caches per-function allocation ordinals for telemetry
+	// site keys; nil when telemetry is off.
+	allocOrds map[*ir.Func]map[*ir.Instr]int
 
 	// reads is non-nil when TrackReads is set.
 	reads map[*ir.Value]bool
 
-	// tele is non-nil when Options.Telemetry is set; allocOrds caches
-	// per-function allocation ordinals for site keys.
-	tele      *telemetry.Recorder
-	allocOrds map[*ir.Func]map[*ir.Instr]int
-
 	slotCache map[*ir.Func]int
-
-	// Output holds emitted values when RecordOutput is set.
-	Output []Val
-
-	// ROI marker state: a stats snapshot and timestamp taken at the
-	// roi instruction, so the harness can split initialization from
-	// the region of interest.
-	ROISnapshot *Stats
-	ROIStart    time.Time
-}
-
-// MarkROI snapshots the stats and wall clock; called by the roi op.
-func (ip *Interp) MarkROI() {
-	snap := *ip.Stats
-	ip.ROISnapshot = &snap
-	ip.ROIStart = time.Now()
-}
-
-// ROIStats returns the kernel-only stats (total minus the snapshot at
-// the roi marker); when no marker ran it returns the full stats.
-func (ip *Interp) ROIStats() *Stats {
-	if ip.ROISnapshot == nil {
-		return ip.Stats
-	}
-	return ROIDelta(ip.Stats, ip.ROISnapshot)
-}
-
-// ROIDelta subtracts the roi-marker snapshot from the total stats,
-// leaving the kernel-only flow quantities; the peak-memory model stays
-// global because memory allocated before the marker is still resident
-// in the region of interest. Shared by both execution engines.
-func ROIDelta(total, snap *Stats) *Stats {
-	out := &Stats{}
-	for i := range out.Counts {
-		for k := range out.Counts[i] {
-			out.Counts[i][k] = total.Counts[i][k] - snap.Counts[i][k]
-		}
-	}
-	out.Sparse = total.Sparse - snap.Sparse
-	out.Dense = total.Dense - snap.Dense
-	out.Steps = total.Steps - snap.Steps
-	out.PeakBytes = total.PeakBytes
-	out.EmitCount = total.EmitCount - snap.EmitCount
-	out.EmitSum = total.EmitSum - snap.EmitSum
-	return out
 }
 
 // New returns an interpreter for prog.
 func New(prog *ir.Program, opts Options) *Interp {
-	if opts.MemSampleEvery <= 0 {
-		opts.MemSampleEvery = 512
-	}
-	if opts.DefaultSet == collections.ImplNone {
-		opts.DefaultSet = collections.ImplHashSet
-	}
-	if opts.DefaultMap == collections.ImplNone {
-		opts.DefaultMap = collections.ImplHashMap
-	}
 	ip := &Interp{
-		Prog:        prog,
-		Stats:       &Stats{},
-		opts:        opts,
-		globals:     map[string]*Enum{},
-		untilSample: opts.MemSampleEvery,
-		slotCache:   map[*ir.Func]int{},
-		iterLocal:   map[*ir.Instr]bool{},
-		localSlot:   map[*ir.Instr]int{},
+		Runtime:   NewRuntime(opts),
+		Prog:      prog,
+		globals:   map[string]*Enum{},
+		localSlot: map[*ir.Instr]*int32{},
+		slotCache: map[*ir.Func]int{},
 	}
-	ip.limited = opts.MaxSteps > 0 || opts.MaxBytes > 0 || opts.Context != nil
 	if opts.TrackReads {
 		ip.reads = map[*ir.Value]bool{}
 	}
 	if opts.Telemetry != nil {
-		ip.tele = opts.Telemetry
 		ip.allocOrds = map[*ir.Func]map[*ir.Instr]int{}
 	}
 	return ip
 }
 
-// tcoll forwards one collection operation to the telemetry recorder.
-func (ip *Interp) tcoll(c Coll, k OpKind, n uint64) {
-	if ip.tele != nil {
-		ip.tele.CollOp(c, int(k), n)
-	}
-}
-
-// allocKey returns the stable telemetry site key of allocation in.
-func (ip *Interp) allocKey(fn *ir.Func, in *ir.Instr) telemetry.SiteKey {
-	ords, ok := ip.allocOrds[fn]
-	if !ok {
-		ords = ir.AllocOrdinals(fn)
-		ip.allocOrds[fn] = ords
-	}
-	return telemetry.SiteKey{Fn: fn.Name, Alloc: ords[in]}
-}
-
-// Global returns the enumeration global named name, creating it on
+// global returns the enumeration global named name, creating it on
 // first use (with word keys when words is set).
-func (ip *Interp) Global(name string, words bool) *Enum {
+func (ip *Interp) global(name string, words bool) *Enum {
 	e, ok := ip.globals[name]
 	if !ok {
-		e = NewEnum(words)
+		e = ip.NewEnum(name, words)
 		ip.globals[name] = e
-		ip.register(e)
-		if ip.tele != nil {
-			ip.tele.TrackEnum(e, name)
-		}
 	}
 	return e
-}
-
-func (ip *Interp) register(c interface{ Bytes() int64 }) {
-	ip.live = append(ip.live, c)
-	ip.grew()
-}
-
-// grew counts one growth event, sampling the footprint every
-// MemSampleEvery-th event (a countdown instead of a modulo: same
-// sample schedule, no integer division on the mutation fast path).
-func (ip *Interp) grew() {
-	ip.untilSample--
-	if ip.untilSample <= 0 {
-		ip.untilSample = ip.opts.MemSampleEvery
-		ip.sampleMem()
-	}
-}
-
-func (ip *Interp) sampleMem() {
-	var total int64
-	for _, c := range ip.live {
-		total += c.Bytes()
-	}
-	ip.Stats.CurBytes = total
-	if total > ip.Stats.PeakBytes {
-		ip.Stats.PeakBytes = total
-	}
-	if ip.opts.MaxBytes > 0 && total > ip.opts.MaxBytes && ip.stop == nil {
-		ip.stop = &LimitError{Kind: ErrMemBudget, Bytes: total}
-	}
-}
-
-// FinalizeMem folds a final footprint sample into the stats.
-func (ip *Interp) FinalizeMem() { ip.sampleMem() }
-
-// CountIterSetup accounts the per-word scan cost of starting an
-// iteration over a bit-structured collection — such sets pay per word
-// scanned, not per element: a dense enumerated set iterates at ~1 word
-// per 64 elements, while a sparsely-populated one (the RQ4 hazard)
-// scans many empty words per element. Shared by both execution
-// engines so their op counts agree exactly. rec may be nil; when set,
-// the word scans are also attributed to the collection's site.
-func CountIterSetup(st *Stats, rec *telemetry.Recorder, c Coll) {
-	switch c := c.(type) {
-	case *RSetBits:
-		n := uint64(len(c.S.Words()))
-		st.Count(collections.ImplBitSet, OKIterWord, n)
-		if rec != nil {
-			rec.CollOp(c, telemetry.OpIterWord, n)
-		}
-	case *RMapBit:
-		countBitMapIter(st, rec, c, c.M.WordCount())
-	case *RMapBitVal:
-		countBitMapIter(st, rec, c, c.M.WordCount())
-	}
-}
-
-func countBitMapIter(st *Stats, rec *telemetry.Recorder, c Coll, words int) {
-	n := uint64(words)
-	st.Count(collections.ImplBitMap, OKIterWord, n)
-	if rec != nil {
-		rec.CollOp(c, telemetry.OpIterWord, n)
-	}
-}
-
-type execErr struct {
-	fn  string
-	msg string
-}
-
-func (e *execErr) Error() string { return "@" + e.fn + ": " + e.msg }
-
-func (ip *Interp) errf(fn *ir.Func, format string, args ...any) error {
-	return &execErr{fn: fn.Name, msg: fmt.Sprintf(format, args...)}
-}
-
-// interrupted runs the full interruption test at a step checkpoint.
-// The order is fixed and shared with the VM — step budget, then any
-// pending memory-budget stop, then the context — so both engines
-// report the same error kind with the same partial Stats when several
-// limits trip at once. The context is polled only when
-// Steps&1023 == 1: a cheap deterministic schedule that still fires on
-// the very first step for already-cancelled contexts.
-func (ip *Interp) interrupted(fn *ir.Func) error {
-	if ip.opts.MaxSteps > 0 && ip.Stats.Steps > ip.opts.MaxSteps {
-		return &LimitError{Kind: ErrStepBudget, Fn: fn.Name, Steps: ip.Stats.Steps}
-	}
-	if ip.stop != nil {
-		le := *ip.stop
-		le.Fn = fn.Name
-		le.Steps = ip.Stats.Steps
-		return &le
-	}
-	if ip.opts.Context != nil && ip.Stats.Steps&1023 == 1 && ip.opts.Context.Err() != nil {
-		return &LimitError{Kind: ErrDeadline, Fn: fn.Name, Steps: ip.Stats.Steps}
-	}
-	return nil
 }
 
 // Run executes the named function with the given arguments and returns
@@ -349,43 +147,44 @@ func (ip *Interp) frameSize(fn *ir.Func) int {
 	return n
 }
 
-// classifyIterLocal marks allocations whose instances die at the end
-// of each iteration of their innermost enclosing loop; the analysis
-// itself lives in ir.IterLocalAllocs so the bytecode compiler bakes
-// the very same classification into its instructions.
+// classifyIterLocal gives a registry slot to each allocation whose
+// instances die at the end of each iteration of their innermost
+// enclosing loop; the analysis itself lives in ir.IterLocalAllocs so
+// the bytecode compiler bakes the very same classification into its
+// instructions.
 func (ip *Interp) classifyIterLocal(fn *ir.Func) {
 	for in := range ir.IterLocalAllocs(fn) {
-		ip.iterLocal[in] = true
+		slot := int32(-1)
+		ip.localSlot[in] = &slot
 	}
 }
 
-// registerAt registers a collection allocated by instruction in,
-// replacing the previous instance for iteration-local allocations.
-func (ip *Interp) registerAt(in *ir.Instr, c Coll) {
-	if ip.iterLocal[in] {
-		if slot, ok := ip.localSlot[in]; ok {
-			ip.live[slot] = c
-			ip.grew()
-			return
-		}
-		ip.localSlot[in] = len(ip.live)
+// siteKey returns the telemetry identity of allocation in (the zero
+// key when telemetry is off).
+func (ip *Interp) siteKey(fn *ir.Func, in *ir.Instr) telemetry.SiteKey {
+	if ip.allocOrds == nil {
+		return telemetry.SiteKey{}
 	}
-	ip.register(c)
+	ords, ok := ip.allocOrds[fn]
+	if !ok {
+		ords = ir.AllocOrdinals(fn)
+		ip.allocOrds[fn] = ords
+	}
+	return telemetry.SiteKey{Fn: fn.Name, Alloc: ords[in]}
 }
 
 func (ip *Interp) call(fn *ir.Func, args []Val) (Val, error) {
 	if len(args) != len(fn.Params) {
-		return Val{}, ip.errf(fn, "called with %d args, want %d", len(args), len(fn.Params))
+		return Val{}, Errf(fn.Name, "called with %d args, want %d", len(args), len(fn.Params))
 	}
 	fr := make([]Val, ip.frameSize(fn))
 	for i, p := range fn.Params {
 		fr[p.Slot] = args[i]
 	}
-	c, ret, err := ip.execBlock(fn, fr, fn.Body)
+	_, ret, err := ip.execBlock(fn, fr, fn.Body)
 	if err != nil {
 		return Val{}, err
 	}
-	_ = c
 	return ret, nil
 }
 
@@ -424,12 +223,12 @@ func (ip *Interp) resolve(fn *ir.Func, fr []Val, o ir.Operand) (Val, error) {
 		switch ix.Kind {
 		case ir.IdxField:
 			if cur.K != VTuple || int(ix.Num) >= len(cur.Tuple()) {
-				return Val{}, ip.errf(fn, "tuple access .%d on %v", ix.Num, cur)
+				return Val{}, Errf(fn.Name, "tuple access .%d on %v", ix.Num, cur)
 			}
 			cur = cur.Tuple()[ix.Num]
 		default:
 			if cur.K != VColl {
-				return Val{}, ip.errf(fn, "indexing non-collection %v", cur)
+				return Val{}, Errf(fn.Name, "indexing non-collection %v", cur)
 			}
 			var key Val
 			switch ix.Kind {
@@ -438,27 +237,27 @@ func (ip *Interp) resolve(fn *ir.Func, fr []Val, o ir.Operand) (Val, error) {
 			case ir.IdxConst:
 				key = IntV(ix.Num)
 			case ir.IdxEnd:
-				return Val{}, ip.errf(fn, "end index cannot be resolved as a value")
+				return Val{}, Errf(fn.Name, "end index cannot be resolved as a value")
 			}
 			switch c := cur.Coll().(type) {
 			case RMap:
 				ip.Stats.Count(c.Impl(), OKRead, 1)
-				ip.tcoll(c, OKRead, 1)
+				ip.TColl(c, OKRead, 1)
 				v, ok := c.Get(key)
 				if !ok {
-					return Val{}, ip.errf(fn, "nested read of missing key %v", key)
+					return Val{}, Errf(fn.Name, "nested read of missing key %v", key)
 				}
 				cur = v
 			case RSeq:
 				i := int(key.I)
 				if i < 0 || i >= c.Len() {
-					return Val{}, ip.errf(fn, "nested seq index %d out of range [0,%d)", i, c.Len())
+					return Val{}, Errf(fn.Name, "nested seq index %d out of range [0,%d)", i, c.Len())
 				}
 				ip.Stats.Count(c.Impl(), OKRead, 1)
-				ip.tcoll(c, OKRead, 1)
+				ip.TColl(c, OKRead, 1)
 				cur = c.Get(i)
 			default:
-				return Val{}, ip.errf(fn, "indexing into a set")
+				return Val{}, Errf(fn.Name, "indexing into a set")
 			}
 		}
 	}
@@ -540,15 +339,14 @@ func (ip *Interp) execForEach(fn *ir.Func, fr []Val, n *ir.ForEach) error {
 		return err
 	}
 	if collV.K != VColl {
-		return ip.errf(fn, "for-each over non-collection %v", collV)
+		return Errf(fn.Name, "for-each over non-collection %v", collV)
 	}
 	ip.initHeaderPhis(fr, n.HeaderPhis)
 	kSlot, vSlot := n.Key.Slot, n.Val.Slot
 
 	var iterErr error
 	ip.Stats.Steps++
-	CountIterSetup(ip.Stats, ip.tele, collV.Coll())
-	tcount := ip.tele.IterCounter(collV.Coll()) // nil on a nil recorder
+	tcount := ip.IterStart(collV.Coll())
 	step := func(k, v Val) bool {
 		ip.Stats.Count(collV.Coll().Impl(), OKIter, 1)
 		if tcount != nil {
@@ -561,7 +359,7 @@ func (ip *Interp) execForEach(fn *ir.Func, fr []Val, n *ir.ForEach) error {
 			return false
 		}
 		if c == ctrlReturn {
-			iterErr = ip.errf(fn, "return inside for-each is unsupported")
+			iterErr = Errf(fn.Name, "return inside for-each is unsupported")
 			return false
 		}
 		ip.latchHeaderPhis(fr, n.HeaderPhis)
@@ -586,8 +384,8 @@ func (ip *Interp) execDoWhile(fn *ir.Func, fr []Val, n *ir.DoWhile) error {
 	ip.initHeaderPhis(fr, n.HeaderPhis)
 	for {
 		ip.Stats.Steps++
-		if ip.limited {
-			if err := ip.interrupted(fn); err != nil {
+		if ip.Limited {
+			if err := ip.Interrupted(fn.Name, ip.Stats.Steps); err != nil {
 				return err
 			}
 		}
@@ -596,7 +394,7 @@ func (ip *Interp) execDoWhile(fn *ir.Func, fr []Val, n *ir.DoWhile) error {
 			return err
 		}
 		if c == ctrlReturn {
-			return ip.errf(fn, "return inside do-while is unsupported")
+			return Errf(fn.Name, "return inside do-while is unsupported")
 		}
 		cond := ip.eval(fr, n.Cond)
 		if !cond.Bool() {

@@ -5,13 +5,12 @@ import (
 
 	"memoir/internal/collections"
 	"memoir/internal/ir"
-	"memoir/internal/telemetry"
 )
 
 func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, error) {
 	ip.Stats.Steps++
-	if ip.limited {
-		if err := ip.interrupted(fn); err != nil {
+	if ip.Limited {
+		if err := ip.Interrupted(fn.Name, ip.Stats.Steps); err != nil {
 			return ctrlNormal, Val{}, err
 		}
 	}
@@ -25,28 +24,13 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 	}
 	switch in.Op {
 	case ir.OpNew:
-		c := ip.NewColl(in.Alloc)
-		// NewColl registered the collection persistently; registerAt
-		// demotes iteration-local allocations to a reusable slot.
-		if ip.iterLocal[in] {
-			ip.live = ip.live[:len(ip.live)-1]
-			ip.registerAt(in, c)
-		}
-		if ip.tele != nil {
-			ip.tele.TrackColl(c, ip.allocKey(fn, in))
-		}
-		setRes(0, CollV(c))
+		setRes(0, CollV(ip.Alloc(in.Alloc, ip.localSlot[in], ip.siteKey(fn, in))))
 
 	case ir.OpNewEnum:
-		e := NewEnum(EnumWords(in))
-		ip.register(e)
-		if ip.tele != nil {
-			ip.tele.TrackEnum(e, "")
-		}
-		setRes(0, EnumV(e))
+		setRes(0, EnumV(ip.NewEnum("", EnumWords(in))))
 
 	case ir.OpEnumGlobal:
-		setRes(0, EnumV(ip.Global(in.Callee, EnumWords(in))))
+		setRes(0, EnumV(ip.global(in.Callee, EnumWords(in))))
 
 	case ir.OpRead:
 		cv, err := ip.resolve(fn, fr, in.Args[0])
@@ -60,22 +44,22 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		switch c := cv.Coll().(type) {
 		case RMap:
 			ip.Stats.Count(c.Impl(), OKRead, 1)
-			ip.tcoll(c, OKRead, 1)
+			ip.TColl(c, OKRead, 1)
 			v, ok := c.Get(key)
 			if !ok {
-				return ctrlNormal, Val{}, ip.errf(fn, "read of missing key %v", key)
+				return ctrlNormal, Val{}, Errf(fn.Name, "read of missing key %v", key)
 			}
 			setRes(0, v)
 		case RSeq:
 			i := int(key.I)
 			if i < 0 || i >= c.Len() {
-				return ctrlNormal, Val{}, ip.errf(fn, "seq read index %d out of range [0,%d)", i, c.Len())
+				return ctrlNormal, Val{}, Errf(fn.Name, "seq read index %d out of range [0,%d)", i, c.Len())
 			}
 			ip.Stats.Count(c.Impl(), OKRead, 1)
-			ip.tcoll(c, OKRead, 1)
+			ip.TColl(c, OKRead, 1)
 			setRes(0, c.Get(i))
 		default:
-			return ctrlNormal, Val{}, ip.errf(fn, "read on set")
+			return ctrlNormal, Val{}, Errf(fn.Name, "read on set")
 		}
 
 	case ir.OpHas:
@@ -90,14 +74,14 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		switch c := cv.Coll().(type) {
 		case RSet:
 			ip.Stats.Count(c.Impl(), OKHas, 1)
-			ip.tcoll(c, OKHas, 1)
+			ip.TColl(c, OKHas, 1)
 			setRes(0, BoolV(c.Has(key)))
 		case RMap:
 			ip.Stats.Count(c.Impl(), OKHas, 1)
-			ip.tcoll(c, OKHas, 1)
+			ip.TColl(c, OKHas, 1)
 			setRes(0, BoolV(c.HasKey(key)))
 		default:
-			return ctrlNormal, Val{}, ip.errf(fn, "has on seq")
+			return ctrlNormal, Val{}, Errf(fn.Name, "has on seq")
 		}
 
 	case ir.OpSize:
@@ -106,7 +90,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			return ctrlNormal, Val{}, err
 		}
 		ip.Stats.Count(cv.Coll().Impl(), OKSize, 1)
-		ip.tcoll(cv.Coll(), OKSize, 1)
+		ip.TColl(cv.Coll(), OKSize, 1)
 		setRes(0, IntV(uint64(cv.Coll().Len())))
 
 	case ir.OpWrite:
@@ -129,22 +113,22 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			// ToEnc patching).
 			ip.Stats.Count(c.Impl(), OKWrite, 1)
 			if !c.HasKey(key) {
-				return ctrlNormal, Val{}, ip.errf(fn, "write to missing key %v (insert first)", key)
+				return ctrlNormal, Val{}, Errf(fn.Name, "write to missing key %v (insert first)", key)
 			}
 			c.Put(key, val)
-			ip.tcoll(c, OKWrite, 1)
+			ip.TColl(c, OKWrite, 1)
 		case RSeq:
 			i := int(key.I)
 			if i < 0 || i >= c.Len() {
-				return ctrlNormal, Val{}, ip.errf(fn, "seq write index %d out of range", i)
+				return ctrlNormal, Val{}, Errf(fn.Name, "seq write index %d out of range", i)
 			}
 			ip.Stats.Count(c.Impl(), OKWrite, 1)
 			c.Set(i, val)
-			ip.tcoll(c, OKWrite, 1)
+			ip.TColl(c, OKWrite, 1)
 		default:
-			return ctrlNormal, Val{}, ip.errf(fn, "write on set")
+			return ctrlNormal, Val{}, Errf(fn.Name, "write on set")
 		}
-		ip.grew()
+		ip.Grew()
 		setRes(0, ip.eval(fr, in.Args[0].Base))
 
 	case ir.OpInsert:
@@ -160,10 +144,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			}
 			ip.Stats.Count(c.Impl(), OKInsert, 1)
 			c.Insert(key)
-			ip.tcoll(c, OKInsert, 1)
-			if ip.tele != nil {
-				ip.tele.KeyObs(c, key.Bits())
-			}
+			ip.Inserted(c, key)
 		case RMap:
 			key, err := ip.resolve(fn, fr, in.Args[1])
 			if err != nil {
@@ -171,23 +152,16 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 			}
 			ip.Stats.Count(c.Impl(), OKInsert, 1)
 			if !c.HasKey(key) {
-				zv := ip.zeroVal(c.ElemType())
-				if ip.tele != nil {
-					ip.tele.TrackInner(zv.Ref(), c)
-				}
-				c.Put(key, zv)
+				c.Put(key, ip.ZeroElem(c, c.ElemType()))
 			}
-			ip.tcoll(c, OKInsert, 1)
-			if ip.tele != nil {
-				ip.tele.KeyObs(c, key.Bits())
-			}
+			ip.Inserted(c, key)
 		case RSeq:
 			val, err := ip.resolve(fn, fr, in.Args[2])
 			if err != nil {
 				return ctrlNormal, Val{}, err
 			}
 			ip.Stats.Count(c.Impl(), OKInsert, 1)
-			ip.tcoll(c, OKInsert, 1)
+			ip.TColl(c, OKInsert, 1)
 			pos := in.Args[1]
 			if pos.Base == nil && len(pos.Path) == 1 && pos.Path[0].Kind == ir.IdxEnd {
 				c.Append(val)
@@ -198,12 +172,12 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 				}
 				i := int(pv.I)
 				if i < 0 || i > c.Len() {
-					return ctrlNormal, Val{}, ip.errf(fn, "seq insert index %d out of range", i)
+					return ctrlNormal, Val{}, Errf(fn.Name, "seq insert index %d out of range", i)
 				}
 				c.InsertAt(i, val)
 			}
+			ip.Grew()
 		}
-		ip.grew()
 		setRes(0, ip.eval(fr, in.Args[0].Base))
 
 	case ir.OpRemove:
@@ -219,19 +193,19 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		case RSet:
 			ip.Stats.Count(c.Impl(), OKRemove, 1)
 			c.Remove(key)
-			ip.tcoll(c, OKRemove, 1)
+			ip.TColl(c, OKRemove, 1)
 		case RMap:
 			ip.Stats.Count(c.Impl(), OKRemove, 1)
 			c.Remove(key)
-			ip.tcoll(c, OKRemove, 1)
+			ip.TColl(c, OKRemove, 1)
 		case RSeq:
 			i := int(key.I)
 			if i < 0 || i >= c.Len() {
-				return ctrlNormal, Val{}, ip.errf(fn, "seq remove index %d out of range", i)
+				return ctrlNormal, Val{}, Errf(fn.Name, "seq remove index %d out of range", i)
 			}
 			ip.Stats.Count(c.Impl(), OKRemove, 1)
 			c.RemoveAt(i)
-			ip.tcoll(c, OKRemove, 1)
+			ip.TColl(c, OKRemove, 1)
 		}
 		setRes(0, ip.eval(fr, in.Args[0].Base))
 
@@ -242,7 +216,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		}
 		ip.Stats.Count(cv.Coll().Impl(), OKClear, 1)
 		cv.Coll().Clear()
-		ip.tcoll(cv.Coll(), OKClear, 1)
+		ip.TColl(cv.Coll(), OKClear, 1)
 		setRes(0, ip.eval(fr, in.Args[0].Base))
 
 	case ir.OpUnion:
@@ -257,21 +231,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		if err != nil {
 			return ctrlNormal, Val{}, err
 		}
-		ip.Stats.Count(ImplEnum, OKEnc, 1)
-		if ip.tele != nil {
-			ip.tele.EnumOp(e.Enum(), telemetry.OpEnc, false)
-		}
-		id, ok := e.Enum().Enc(v)
-		if !ok {
-			// Behaviour for values outside the enumeration is undefined
-			// in the paper (§III-B); we return the never-issued sentinel
-			// identifier so membership tests on the enumerated
-			// collection correctly come back false (Listing 2 encodes
-			// the key before testing `has`).
-			setRes(0, IntV(uint64(AbsentID)))
-			break
-		}
-		setRes(0, IntV(uint64(id)))
+		setRes(0, IntV(ip.Enc(e.Enum(), v)))
 
 	case ir.OpDecode:
 		e := ip.eval(fr, in.Args[0].Base)
@@ -279,14 +239,11 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		if err != nil {
 			return ctrlNormal, Val{}, err
 		}
-		ip.Stats.Count(ImplEnum, OKDec, 1)
-		if ip.tele != nil {
-			ip.tele.EnumOp(e.Enum(), telemetry.OpDec, false)
+		v, err := ip.Dec(fn.Name, e.Enum(), idv.I)
+		if err != nil {
+			return ctrlNormal, Val{}, err
 		}
-		if int(idv.I) >= e.Enum().Len() {
-			return ctrlNormal, Val{}, ip.errf(fn, "dec of identifier %d outside [0,%d)", idv.I, e.Enum().Len())
-		}
-		setRes(0, e.Enum().Dec(uint32(idv.I)))
+		setRes(0, v)
 
 	case ir.OpEnumAdd:
 		e := ip.eval(fr, in.Args[0].Base)
@@ -294,17 +251,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		if err != nil {
 			return ctrlNormal, Val{}, err
 		}
-		ip.Stats.Count(ImplEnum, OKAdd, 1)
-		id, added := e.Enum().Add(v)
-		if ip.tele != nil {
-			ip.tele.EnumOp(e.Enum(), telemetry.OpAdd, added)
-		}
-		if added {
-			ip.grew()
-		}
-		if fa := ip.opts.Faults; fa != nil && fa.CorruptAdd() {
-			e.Enum().CorruptSlot()
-		}
+		id := ip.EnumAdd(e.Enum(), v)
 		setRes(0, e)
 		setRes(1, IntV(uint64(id)))
 
@@ -358,7 +305,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		}
 		fields := tv.Tuple()
 		if in.FieldIdx >= len(fields) {
-			return ctrlNormal, Val{}, ip.errf(fn, "field %d of %d-tuple", in.FieldIdx, len(fields))
+			return ctrlNormal, Val{}, Errf(fn.Name, "field %d of %d-tuple", in.FieldIdx, len(fields))
 		}
 		setRes(0, fields[in.FieldIdx])
 
@@ -367,11 +314,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		if err != nil {
 			return ctrlNormal, Val{}, err
 		}
-		ip.Stats.EmitCount++
-		ip.Stats.EmitSum += collections.Mix64(v.Bits())
-		if ip.opts.RecordOutput {
-			ip.Output = append(ip.Output, v)
-		}
+		ip.Emit(v)
 
 	case ir.OpROI:
 		ip.MarkROI()
@@ -389,7 +332,7 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 	case ir.OpCall:
 		callee := ip.Prog.Func(in.Callee)
 		if callee == nil {
-			return ctrlNormal, Val{}, ip.errf(fn, "call to unknown @%s", in.Callee)
+			return ctrlNormal, Val{}, Errf(fn.Name, "call to unknown @%s", in.Callee)
 		}
 		args := make([]Val, len(in.Args))
 		for i, a := range in.Args {
@@ -408,10 +351,10 @@ func (ip *Interp) execInstr(fn *ir.Func, fr []Val, in *ir.Instr) (ctrl, Val, err
 		}
 
 	case ir.OpPhi:
-		return ctrlNormal, Val{}, ip.errf(fn, "phi executed outside structural position")
+		return ctrlNormal, Val{}, Errf(fn.Name, "phi executed outside structural position")
 
 	default:
-		return ctrlNormal, Val{}, ip.errf(fn, "unimplemented op %v", in.Op)
+		return ctrlNormal, Val{}, Errf(fn.Name, "unimplemented op %v", in.Op)
 	}
 	return ctrlNormal, Val{}, nil
 }
@@ -430,64 +373,10 @@ func (ip *Interp) execUnion(fn *ir.Func, fr []Val, in *ir.Instr) error {
 	dst, ok1 := dv.Coll().(RSet)
 	src, ok2 := sv.Coll().(RSet)
 	if !ok1 || !ok2 {
-		return ip.errf(fn, "union on non-sets")
+		return Errf(fn.Name, "union on non-sets")
 	}
-	defer ip.grew()
-	UnionInto(ip.Stats, ip.tele, dst, src)
+	ip.Union(dst, src)
 	return nil
-}
-
-// UnionInto merges src into dst with implementation-specific fast
-// paths, accounting the work proportionally into st (Table III's
-// union row). Shared by both execution engines so the OKUnionWord
-// counts agree exactly; callers handle memory-growth sampling. rec may
-// be nil; when set, the union work is attributed to the operand sites.
-func UnionInto(st *Stats, rec *telemetry.Recorder, dst, src RSet) {
-	tc := func(c any, k OpKind, n uint64) {
-		if rec != nil {
-			rec.CollOp(c, int(k), n)
-		}
-	}
-	switch dd := dst.(type) {
-	case *RSetBits:
-		if sd, ok := src.(*RSetBits); ok {
-			dd.S.UnionWith(sd.S)
-			words := uint64(len(dd.S.Words()))
-			st.Count(collections.ImplBitSet, OKUnionWord, words)
-			tc(dd, OKUnionWord, words)
-			return
-		}
-	case *RSetSparse:
-		if sd, ok := src.(*RSetSparse); ok {
-			dd.S.UnionWith(sd.S)
-			n := uint64(sd.S.Len() + 1)
-			st.Count(collections.ImplSparseBitSet, OKUnionWord, n)
-			tc(dd, OKUnionWord, n)
-			return
-		}
-	}
-	if dg, ok := dst.(*rsetG); ok {
-		if sg, ok := src.(*rsetG); ok {
-			if df, ok := dg.s.(*collections.FlatSet[Val]); ok {
-				if sf, ok := sg.s.(*collections.FlatSet[Val]); ok {
-					n := uint64(df.Len() + sf.Len())
-					df.UnionWith(sf)
-					st.Count(collections.ImplFlatSet, OKUnionWord, n)
-					tc(dg, OKUnionWord, n)
-					return
-				}
-			}
-		}
-	}
-	// Generic element-wise union: iterate src, insert into dst.
-	src.Iterate(func(v Val) bool {
-		st.Count(src.Impl(), OKIter, 1)
-		st.Count(dst.Impl(), OKInsert, 1)
-		tc(src, OKIter, 1)
-		tc(dst, OKInsert, 1)
-		dst.Insert(v)
-		return true
-	})
 }
 
 func intIsSigned(t ir.Type) bool {
@@ -525,7 +414,7 @@ func (ip *Interp) binOp(fn *ir.Func, in *ir.Instr, x, y Val) (Val, error) {
 		case ir.BinMax:
 			return FloatV(math.Max(a, b)), nil
 		default:
-			return Val{}, ip.errf(fn, "float %v unsupported", in.Bin)
+			return Val{}, Errf(fn.Name, "float %v unsupported", in.Bin)
 		}
 	}
 	a, b := x.I, y.I
@@ -539,7 +428,7 @@ func (ip *Interp) binOp(fn *ir.Func, in *ir.Instr, x, y Val) (Val, error) {
 		return IntV(a * b), nil
 	case ir.BinDiv:
 		if b == 0 {
-			return Val{}, ip.errf(fn, "division by zero")
+			return Val{}, Errf(fn.Name, "division by zero")
 		}
 		if signed {
 			return IntV(uint64(int64(a) / int64(b))), nil
@@ -547,7 +436,7 @@ func (ip *Interp) binOp(fn *ir.Func, in *ir.Instr, x, y Val) (Val, error) {
 		return IntV(a / b), nil
 	case ir.BinRem:
 		if b == 0 {
-			return Val{}, ip.errf(fn, "remainder by zero")
+			return Val{}, Errf(fn.Name, "remainder by zero")
 		}
 		if signed {
 			return IntV(uint64(int64(a) % int64(b))), nil
@@ -589,7 +478,7 @@ func (ip *Interp) binOp(fn *ir.Func, in *ir.Instr, x, y Val) (Val, error) {
 		}
 		return IntV(b), nil
 	}
-	return Val{}, ip.errf(fn, "unsupported bin op")
+	return Val{}, Errf(fn.Name, "unsupported bin op")
 }
 
 func (ip *Interp) cmpOp(in *ir.Instr, x, y Val) bool {

@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"memoir/internal/collections"
-	"memoir/internal/ir"
 )
 
 // ValKind tags a runtime value.
@@ -190,27 +189,3 @@ func (v Val) String() string {
 	}
 	return "?"
 }
-
-// ZeroVal materializes the zero value of an IR type; collection types
-// materialize a fresh empty collection through newColl (used by map
-// inserts whose value type is itself a collection, e.g.
-// Map<ptr,Set<ptr>>). Both engines pass their own registering
-// constructor so memory accounting stays engine-local.
-func ZeroVal(t ir.Type, newColl func(*ir.CollType) Coll) Val {
-	switch tt := t.(type) {
-	case *ir.ScalarType:
-		switch tt.Kind {
-		case ir.F32, ir.F64:
-			return FloatV(0)
-		case ir.Str:
-			return StrV("")
-		default:
-			return IntV(0)
-		}
-	case *ir.CollType:
-		return CollV(newColl(tt))
-	}
-	return Val{}
-}
-
-func (ip *Interp) zeroVal(t ir.Type) Val { return ZeroVal(t, ip.NewColl) }

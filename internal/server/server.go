@@ -43,7 +43,6 @@ import (
 	"memoir/internal/server/cache"
 	"memoir/internal/server/store"
 	"memoir/internal/telemetry"
-	"memoir/internal/vm"
 )
 
 // Config configures the daemon. Zero values take the DefaultConfig
@@ -808,15 +807,14 @@ func (s *Server) executeInto(resp *Response, art *artifact, req *Request, fromCa
 		iopts.Telemetry = rec
 	}
 
-	var m machine
-	switch eng {
-	case bench.EngineVM:
-		// The compiled bytecode is immutable: concurrent VMs share it.
-		m = vmMachine{vm.New(art.bc, iopts)}
-	default:
-		// The interpreter finalizes slots lazily (a write to the IR),
-		// so concurrent runs get private clones of the cached program.
-		m = interpMachine{interp.New(ir.CloneProgram(art.ir), iopts)}
+	// The cached bytecode is verified and immutable, so concurrent VMs
+	// share it; the interpreter writes to its IR, so it gets a private
+	// clone. Neither path recompiles: not doing that is the cache's point.
+	var m bench.Machine
+	if eng == bench.EngineVM {
+		m = bench.NewVMMachine(art.bc, iopts)
+	} else {
+		m = bench.NewInterpMachine(ir.CloneProgram(art.ir), iopts)
 	}
 
 	args := make([]interp.Val, len(req.Args))
@@ -901,20 +899,3 @@ func (s *Server) writeResponse(w http.ResponseWriter, r *http.Request, resp *Res
 		s.logMu.Unlock()
 	}
 }
-
-// machine is the slice of an engine the server needs. The adapters
-// below avoid bench.NewMachine, which would recompile the bytecode on
-// every request — the entire point of the cache is not doing that.
-type machine interface {
-	Run(name string, args ...interp.Val) (interp.Val, error)
-	FinalizeMem()
-	Stats() *interp.Stats
-}
-
-type interpMachine struct{ *interp.Interp }
-
-func (m interpMachine) Stats() *interp.Stats { return m.Interp.Stats }
-
-type vmMachine struct{ *vm.VM }
-
-func (m vmMachine) Stats() *interp.Stats { return m.VM.Stats }

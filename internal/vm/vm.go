@@ -2,10 +2,11 @@
 // a switch-dispatch register VM over the bytecode produced by
 // internal/bytecode. It executes the same runtime values, collections
 // and enumerations as the tree-walking interpreter (internal/interp)
-// and preserves its full measurement surface — per-(implementation,
-// operation) counts, sparse/dense classification, step counts, the
-// peak-memory model and the emit checksum are identical for identical
-// programs and inputs, so every experiment can run on either engine.
+// and embeds the same interp.Runtime, which holds the measurement
+// surface — per-(implementation, operation) counts, sparse/dense
+// classification, step counts, the peak-memory model and the emit
+// checksum are identical for identical programs and inputs, so every
+// experiment can run on either engine.
 //
 // The speed comes from work the compiler already did: type dispatch is
 // baked into specialized opcodes, constants are preloaded registers,
@@ -22,45 +23,27 @@ import (
 	"fmt"
 	"math"
 	mathbits "math/bits"
-	"time"
 
 	"memoir/internal/bytecode"
 	"memoir/internal/collections"
-	"memoir/internal/faults"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
 	"memoir/internal/telemetry"
 )
 
-// VM executes a compiled MEMOIR program. Mirrors interp.Interp's
-// measurement state field for field.
+// VM executes a compiled MEMOIR program. The run state and every
+// piece of accounting it shares with the interpreter live in the
+// embedded interp.Runtime.
 type VM struct {
-	Prog  *bytecode.Prog
-	Stats *interp.Stats
-	opts  interp.Options
+	interp.Runtime
+	Prog *bytecode.Prog
 
 	// Enumeration globals, indexed parallel to Prog.Globals.
 	globals []*interp.Enum
 
-	live        []interface{ Bytes() int64 }
-	untilSample int
-
-	// limited is true when any interruption source (step budget,
-	// memory budget, context) is configured; the dispatch fast path
-	// checks this single bool before the full interruption test.
-	limited bool
-
-	// stop holds a pending memory-budget violation detected during a
-	// footprint sample; it surfaces at the next step checkpoint so
-	// both engines abort at the same dynamic point.
-	stop *interp.LimitError
-
 	// localSlot[site] is the reusable live-registry slot of an
 	// iteration-local allocation site (-1 until first allocation).
 	localSlot []int32
-
-	// tele is non-nil when Options.Telemetry is set.
-	tele *telemetry.Recorder
 
 	// The register stack: frames are carved from chunks that are kept
 	// for reuse, so once the stack has grown to a program's call depth
@@ -74,127 +57,31 @@ type VM struct {
 	// iters is the stack of active inlined for-each cursors; each run
 	// segment owns the entries above the length it started at.
 	iters []iterState
-
-	// Output holds emitted values when RecordOutput is set.
-	Output []interp.Val
-
-	// ROI marker state, split off by the roi instruction.
-	ROISnapshot *interp.Stats
-	ROIStart    time.Time
 }
 
-// New returns a VM for the compiled program. Options are normalized
-// exactly as interp.New does.
+// New returns a VM for the compiled program.
 func New(prog *bytecode.Prog, opts interp.Options) *VM {
-	if opts.MemSampleEvery <= 0 {
-		opts.MemSampleEvery = 512
-	}
-	if opts.DefaultSet == collections.ImplNone {
-		opts.DefaultSet = collections.ImplHashSet
-	}
-	if opts.DefaultMap == collections.ImplNone {
-		opts.DefaultMap = collections.ImplHashMap
-	}
 	m := &VM{
-		Prog:        prog,
-		Stats:       &interp.Stats{},
-		opts:        opts,
-		globals:     make([]*interp.Enum, len(prog.Globals)),
-		untilSample: opts.MemSampleEvery,
-		localSlot:   make([]int32, len(prog.AllocSites)),
-		tele:        opts.Telemetry,
+		Runtime:   interp.NewRuntime(opts),
+		Prog:      prog,
+		globals:   make([]*interp.Enum, len(prog.Globals)),
+		localSlot: make([]int32, len(prog.AllocSites)),
 	}
 	for i := range m.localSlot {
 		m.localSlot[i] = -1
 	}
-	m.limited = opts.MaxSteps > 0 || opts.MaxBytes > 0 || opts.Context != nil
 	return m
 }
 
-// MarkROI snapshots the stats and wall clock; executed by the roi op.
-func (m *VM) MarkROI() {
-	snap := *m.Stats
-	m.ROISnapshot = &snap
-	m.ROIStart = time.Now()
-}
-
-// ROIStats returns the kernel-only stats (total minus the snapshot at
-// the roi marker); when no marker ran it returns the full stats.
-func (m *VM) ROIStats() *interp.Stats {
-	if m.ROISnapshot == nil {
-		return m.Stats
-	}
-	return interp.ROIDelta(m.Stats, m.ROISnapshot)
-}
-
-// NewColl materializes an empty collection of type ct and registers it
-// for memory accounting, exactly like interp.(*Interp).NewColl.
-func (m *VM) NewColl(ct *ir.CollType) interp.Coll {
-	if fa := m.opts.Faults; fa != nil && fa.FailAlloc() {
-		panic(&faults.InjectedFault{P: fa.Point()})
-	}
-	c := interp.NewCollFor(ct, m.opts.DefaultSet, m.opts.DefaultMap)
-	m.register(c)
-	return c
-}
-
-func (m *VM) register(c interface{ Bytes() int64 }) {
-	m.live = append(m.live, c)
-	m.grew()
-}
-
-// grew counts one growth event, sampling the footprint every
-// MemSampleEvery-th event (a countdown instead of a modulo: same
-// sample schedule, no integer division on the mutation fast path).
-func (m *VM) grew() {
-	m.untilSample--
-	if m.untilSample <= 0 {
-		m.untilSample = m.opts.MemSampleEvery
-		m.sampleMem()
-	}
-}
-
-func (m *VM) sampleMem() {
-	var total int64
-	for _, c := range m.live {
-		total += c.Bytes()
-	}
-	m.Stats.CurBytes = total
-	if total > m.Stats.PeakBytes {
-		m.Stats.PeakBytes = total
-	}
-	if m.opts.MaxBytes > 0 && total > m.opts.MaxBytes && m.stop == nil {
-		m.stop = &interp.LimitError{Kind: interp.ErrMemBudget, Bytes: total}
-	}
-}
-
-// FinalizeMem folds a final footprint sample into the stats.
-func (m *VM) FinalizeMem() { m.sampleMem() }
-
-// Global returns the enumeration global with the given Prog.Globals
+// global returns the enumeration global with the given Prog.Globals
 // index, creating it on first use (with word keys when words is set).
 func (m *VM) global(idx int32, words bool) *interp.Enum {
 	e := m.globals[idx]
 	if e == nil {
-		e = interp.NewEnum(words)
+		e = m.NewEnum(m.Prog.Globals[idx], words)
 		m.globals[idx] = e
-		m.register(e)
-		if m.tele != nil {
-			m.tele.TrackEnum(e, m.Prog.Globals[idx])
-		}
 	}
 	return e
-}
-
-// tcoll forwards one collection operation to the telemetry recorder.
-func (m *VM) tcoll(c any, k interp.OpKind, n uint64) {
-	if m.tele != nil {
-		m.tele.CollOp(c, int(k), n)
-	}
-}
-
-func (m *VM) errf(f *bytecode.Func, format string, args ...any) error {
-	return errors.New("@" + f.Name + ": " + fmt.Sprintf(format, args...))
 }
 
 // Run executes the named function with the given arguments and returns
@@ -215,7 +102,7 @@ func (m *VM) Run(name string, args ...interp.Val) (ret interp.Val, err error) {
 		}
 	}()
 	if len(args) != len(f.ParamRegs) {
-		return interp.Val{}, m.errf(f, "called with %d args, want %d", len(args), len(f.ParamRegs))
+		return interp.Val{}, interp.Errf(f.Name, "called with %d args, want %d", len(args), len(f.ParamRegs))
 	}
 	fr := m.enter(f)
 	for i, r := range f.ParamRegs {
@@ -311,12 +198,12 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 		switch ix.Kind {
 		case ir.IdxField:
 			if cur.K != interp.VTuple || int(ix.Num) >= len(cur.Tuple()) {
-				return interp.Val{}, m.errf(f, "tuple access .%d on %v", ix.Num, cur)
+				return interp.Val{}, interp.Errf(f.Name, "tuple access .%d on %v", ix.Num, cur)
 			}
 			cur = cur.Tuple()[ix.Num]
 		default:
 			if cur.K != interp.VColl {
-				return interp.Val{}, m.errf(f, "indexing non-collection %v", cur)
+				return interp.Val{}, interp.Errf(f.Name, "indexing non-collection %v", cur)
 			}
 			var key interp.Val
 			switch ix.Kind {
@@ -325,59 +212,59 @@ func (m *VM) walkPath(f *bytecode.Func, fr []interp.Val, cur interp.Val, path in
 			case ir.IdxConst:
 				key = interp.IntV(ix.Num)
 			case ir.IdxEnd:
-				return interp.Val{}, m.errf(f, "end index cannot be resolved as a value")
+				return interp.Val{}, interp.Errf(f.Name, "end index cannot be resolved as a value")
 			}
 			switch c := cur.Ref().(type) {
 			case *interp.RMapBitVal:
 				m.Stats.Count(collections.ImplBitMap, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				v, ok := c.M.Get(uint32(key.I))
 				if !ok {
-					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
+					return interp.Val{}, interp.Errf(f.Name, "nested read of missing key %v", key)
 				}
 				cur = v
 			case *interp.RMapBit:
 				m.Stats.Count(collections.ImplBitMap, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				w, ok := c.M.Get(uint32(key.I))
 				if !ok {
-					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
+					return interp.Val{}, interp.Errf(f.Name, "nested read of missing key %v", key)
 				}
 				cur = interp.IntV(w)
 			case *interp.RMapHash:
 				m.Stats.Count(collections.ImplHashMap, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				v, ok := c.Get(key)
 				if !ok {
-					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
+					return interp.Val{}, interp.Errf(f.Name, "nested read of missing key %v", key)
 				}
 				cur = v
 			case interp.RMap:
 				m.Stats.Count(c.Impl(), interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				v, ok := c.Get(key)
 				if !ok {
-					return interp.Val{}, m.errf(f, "nested read of missing key %v", key)
+					return interp.Val{}, interp.Errf(f.Name, "nested read of missing key %v", key)
 				}
 				cur = v
 			case *interp.RSeqArr:
 				i := int(key.I)
 				if i < 0 || i >= c.S.Len() {
-					return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.S.Len())
+					return interp.Val{}, interp.Errf(f.Name, "nested seq index %d out of range [0,%d)", i, c.S.Len())
 				}
 				m.Stats.Count(collections.ImplArray, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				cur = interp.IntV(c.S.Get(i))
 			case interp.RSeq:
 				i := int(key.I)
 				if i < 0 || i >= c.Len() {
-					return interp.Val{}, m.errf(f, "nested seq index %d out of range [0,%d)", i, c.Len())
+					return interp.Val{}, interp.Errf(f.Name, "nested seq index %d out of range [0,%d)", i, c.Len())
 				}
 				m.Stats.Count(c.Impl(), interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				cur = c.Get(i)
 			default:
-				return interp.Val{}, m.errf(f, "indexing into a set")
+				return interp.Val{}, interp.Errf(f.Name, "indexing into a set")
 			}
 		}
 	}
@@ -454,15 +341,8 @@ const (
 func (m *VM) run(f *bytecode.Func, fr []interp.Val, lo, hi int32) (rv interp.Val, returned bool, err error) {
 	code := f.Code
 	st := m.Stats
-	maxSteps := m.opts.MaxSteps
 	var steps, nscalar uint64
-	budget := uint64(math.MaxUint64)
-	if maxSteps > 0 {
-		budget = 0
-		if st.Steps < maxSteps {
-			budget = maxSteps - st.Steps
-		}
-	}
+	budget := m.StepBudget()
 	base := len(m.iters) // this segment's cursors are m.iters[base:]
 	pc := lo
 dispatch:
@@ -568,21 +448,12 @@ dispatch:
 			// the for-each entry step), in the same fixed order — step
 			// budget, pending memory stop, context — so both engines
 			// abort at the same dynamic point with the same error kind.
+			// The guard below is the cheap part, kept inline; Interrupted
+			// builds the error only once some source may have tripped.
 			steps++
-			if m.limited && op != bytecode.OpForEach {
-				if steps > budget {
-					err = &interp.LimitError{Kind: interp.ErrStepBudget, Fn: f.Name, Steps: st.Steps + steps}
-					goto out
-				}
-				if m.stop != nil {
-					le := *m.stop
-					le.Fn = f.Name
-					le.Steps = st.Steps + steps
-					err = &le
-					goto out
-				}
-				if m.opts.Context != nil && (st.Steps+steps)&1023 == 1 && m.opts.Context.Err() != nil {
-					err = &interp.LimitError{Kind: interp.ErrDeadline, Fn: f.Name, Steps: st.Steps + steps}
+			if m.Limited && op != bytecode.OpForEach &&
+				(steps > budget || m.Stop != nil || m.Opts.Context != nil && (st.Steps+steps)&1023 == 1) {
+				if err = m.Interrupted(f.Name, st.Steps+steps); err != nil {
 					goto out
 				}
 			}
@@ -614,13 +485,12 @@ dispatch:
 				}
 			}
 			if cv.K != interp.VColl {
-				err = m.errf(f, "for-each over non-collection %v", cv)
+				err = interp.Errf(f.Name, "for-each over non-collection %v", cv)
 				goto out
 			}
 			coll := cv.Coll()
-			interp.CountIterSetup(st, m.tele, coll)
+			tcount := m.IterStart(coll)
 			iterCount := &st.Counts[coll.Impl()][interp.OKIter]
-			tcount := m.tele.IterCounter(coll) // nil on a nil recorder
 			kReg, vReg := in.Dst, in.Dst2
 			bodyLo, bodyHi := in.Aux, in.Aux2
 			// Pausable containers iterate inline: push an iterState over
@@ -666,7 +536,7 @@ dispatch:
 						return false
 					}
 					if ret2 {
-						iterErr = m.errf(f, "return inside for-each is unsupported")
+						iterErr = interp.Errf(f.Name, "return inside for-each is unsupported")
 						return false
 					}
 					return true
@@ -685,13 +555,7 @@ dispatch:
 					err = iterErr
 					goto out
 				}
-				budget = math.MaxUint64
-				if maxSteps > 0 {
-					budget = 0
-					if st.Steps < maxSteps {
-						budget = maxSteps - st.Steps
-					}
-				}
+				budget = m.StepBudget()
 				pc = bodyHi
 				continue
 			}
@@ -706,7 +570,7 @@ dispatch:
 				}
 			}
 			if len(m.iters) > base {
-				err = m.errf(f, "return inside for-each is unsupported")
+				err = interp.Errf(f.Name, "return inside for-each is unsupported")
 				goto out
 			}
 			returned = true
@@ -714,7 +578,7 @@ dispatch:
 
 		case bytecode.OpReturnVoid:
 			if len(m.iters) > base {
-				err = m.errf(f, "return inside for-each is unsupported")
+				err = interp.Errf(f.Name, "return inside for-each is unsupported")
 				goto out
 			}
 			returned = true
@@ -731,7 +595,7 @@ dispatch:
 						goto out
 					}
 				}
-				err = m.errf(callee, "called with %d args, want %d", len(list), len(callee.ParamRegs))
+				err = interp.Errf(callee.Name, "called with %d args, want %d", len(list), len(callee.ParamRegs))
 				goto out
 			}
 			// Arguments go straight into the callee's parameter
@@ -753,13 +617,7 @@ dispatch:
 			if ret, err = m.exec(callee, cfr); err != nil {
 				goto out
 			}
-			budget = math.MaxUint64
-			if maxSteps > 0 {
-				budget = 0
-				if st.Steps < maxSteps {
-					budget = maxSteps - st.Steps
-				}
-			}
+			budget = m.StepBudget()
 			if in.Dst >= 0 {
 				fr[in.Dst] = ret
 			}
@@ -769,42 +627,24 @@ dispatch:
 			goto out
 
 		case bytecode.OpNewColl:
-			site := &m.Prog.AllocSites[in.Aux]
-			if fa := m.opts.Faults; fa != nil && fa.FailAlloc() {
-				// The panic skips the out label: flush the tallies here
-				// so the Stats a recovered Run reports match the
-				// interpreter's.
+			if m.Opts.Faults != nil {
+				// An injected allocation failure panics past the out
+				// label: flush the tallies first so the Stats a recovered
+				// Run reports match the interpreter's.
 				st.Steps += steps
 				st.Counts[collections.ImplNone][interp.OKScalar] += nscalar
-				panic(&faults.InjectedFault{P: fa.Point()})
+				budget -= steps
+				steps, nscalar = 0, 0
 			}
-			c := interp.NewCollFor(site.Type, m.opts.DefaultSet, m.opts.DefaultMap)
-			// Register persistently first, then demote iteration-local
-			// allocations to their reusable slot — the same two growth
-			// events per allocation the interpreter records.
-			m.register(c)
+			site := &m.Prog.AllocSites[in.Aux]
+			var slot *int32
 			if site.IterLocal {
-				m.live = m.live[:len(m.live)-1]
-				if slot := m.localSlot[in.Aux]; slot >= 0 {
-					m.live[slot] = c
-					m.grew()
-				} else {
-					m.localSlot[in.Aux] = int32(len(m.live))
-					m.register(c)
-				}
+				slot = &m.localSlot[in.Aux]
 			}
-			if m.tele != nil {
-				m.tele.TrackColl(c, telemetry.SiteKey{Fn: site.Fn, Alloc: site.Alloc})
-			}
-			fr[in.Dst] = interp.CollV(c)
+			fr[in.Dst] = interp.CollV(m.Alloc(site.Type, slot, telemetry.SiteKey{Fn: site.Fn, Alloc: site.Alloc}))
 
 		case bytecode.OpNewEnum:
-			e := interp.NewEnum(in.Imm != 0)
-			m.register(e)
-			if m.tele != nil {
-				m.tele.TrackEnum(e, "")
-			}
-			fr[in.Dst] = interp.EnumV(e)
+			fr[in.Dst] = interp.EnumV(m.NewEnum("", in.Imm != 0))
 
 		case bytecode.OpEnumGlobal:
 			fr[in.Dst] = interp.EnumV(m.global(in.Aux, in.Imm != 0))
@@ -827,26 +667,26 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				v.I, ok = c.M.Get(uint32(key.I))
 			case *interp.RMapBitVal:
 				st.Count(collections.ImplBitMap, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				v, ok = c.M.Get(uint32(key.I))
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				v, ok = c.Get(key)
 			case interp.RMap:
 				st.Count(c.Impl(), interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				v, ok = c.Get(key)
 			default:
-				err = m.errf(f, "read on set")
+				err = interp.Errf(f.Name, "read on set")
 				goto out
 			}
 			if !ok {
-				err = m.errf(f, "read of missing key %v", key)
+				err = interp.Errf(f.Name, "read of missing key %v", key)
 				goto out
 			}
 			fr[in.Dst] = v
@@ -868,32 +708,32 @@ dispatch:
 			case *interp.RSeqArr:
 				i := int(key.I)
 				if i < 0 || i >= c.S.Len() {
-					err = m.errf(f, "seq read index %d out of range [0,%d)", i, c.S.Len())
+					err = interp.Errf(f.Name, "seq read index %d out of range [0,%d)", i, c.S.Len())
 					goto out
 				}
 				st.Count(collections.ImplArray, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				fr[in.Dst] = interp.IntV(c.S.Get(i))
 			case *interp.RSeqVal:
 				i := int(key.I)
 				if i < 0 || i >= c.S.Len() {
-					err = m.errf(f, "seq read index %d out of range [0,%d)", i, c.S.Len())
+					err = interp.Errf(f.Name, "seq read index %d out of range [0,%d)", i, c.S.Len())
 					goto out
 				}
 				st.Count(collections.ImplArray, interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				fr[in.Dst] = c.S.Get(i)
 			case interp.RSeq:
 				i := int(key.I)
 				if i < 0 || i >= c.Len() {
-					err = m.errf(f, "seq read index %d out of range [0,%d)", i, c.Len())
+					err = interp.Errf(f.Name, "seq read index %d out of range [0,%d)", i, c.Len())
 					goto out
 				}
 				st.Count(c.Impl(), interp.OKRead, 1)
-				m.tcoll(c, interp.OKRead, 1)
+				m.TColl(c, interp.OKRead, 1)
 				fr[in.Dst] = c.Get(i)
 			default:
-				err = m.errf(f, "read on set")
+				err = interp.Errf(f.Name, "read on set")
 				goto out
 			}
 
@@ -914,22 +754,22 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RSetBits:
 				st.Count(collections.ImplBitSet, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.TColl(c, interp.OKHas, 1)
 				has = c.S.Has(uint32(key.I))
 			case *interp.RSetSparse:
 				st.Count(collections.ImplSparseBitSet, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.TColl(c, interp.OKHas, 1)
 				has = c.S.Has(uint32(key.I))
 			case *interp.RSetHash:
 				st.Count(collections.ImplHashSet, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.TColl(c, interp.OKHas, 1)
 				has = c.Has(key)
 			case interp.RSet:
 				st.Count(c.Impl(), interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.TColl(c, interp.OKHas, 1)
 				has = c.Has(key)
 			default:
-				err = m.errf(f, "has on seq")
+				err = interp.Errf(f.Name, "has on seq")
 				goto out
 			}
 			d := &fr[in.Dst]
@@ -952,22 +792,22 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.TColl(c, interp.OKHas, 1)
 				has = c.M.Has(uint32(key.I))
 			case *interp.RMapBitVal:
 				st.Count(collections.ImplBitMap, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.TColl(c, interp.OKHas, 1)
 				has = c.M.Has(uint32(key.I))
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.TColl(c, interp.OKHas, 1)
 				has = c.Has(key)
 			case interp.RMap:
 				st.Count(c.Impl(), interp.OKHas, 1)
-				m.tcoll(c, interp.OKHas, 1)
+				m.TColl(c, interp.OKHas, 1)
 				has = c.HasKey(key)
 			default:
-				err = m.errf(f, "has on seq")
+				err = interp.Errf(f.Name, "has on seq")
 				goto out
 			}
 			d := &fr[in.Dst]
@@ -982,7 +822,7 @@ dispatch:
 			}
 			c := cv.Coll()
 			st.Count(c.Impl(), interp.OKSize, 1)
-			m.tcoll(c, interp.OKSize, 1)
+			m.TColl(c, interp.OKSize, 1)
 			d := &fr[in.Dst]
 			d.K, d.I = interp.VInt, uint64(c.Len())
 
@@ -1009,40 +849,40 @@ dispatch:
 			case *interp.RMapBit:
 				st.Count(collections.ImplBitMap, interp.OKWrite, 1)
 				if !c.M.Has(uint32(key.I)) {
-					err = m.errf(f, "write to missing key %v (insert first)", key)
+					err = interp.Errf(f.Name, "write to missing key %v (insert first)", key)
 					goto out
 				}
 				c.M.Put(uint32(key.I), val.I)
-				m.tcoll(c, interp.OKWrite, 1)
+				m.TColl(c, interp.OKWrite, 1)
 			case *interp.RMapBitVal:
 				st.Count(collections.ImplBitMap, interp.OKWrite, 1)
 				if !c.M.Has(uint32(key.I)) {
-					err = m.errf(f, "write to missing key %v (insert first)", key)
+					err = interp.Errf(f.Name, "write to missing key %v (insert first)", key)
 					goto out
 				}
 				c.M.Put(uint32(key.I), val)
-				m.tcoll(c, interp.OKWrite, 1)
+				m.TColl(c, interp.OKWrite, 1)
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKWrite, 1)
 				if !c.Has(key) {
-					err = m.errf(f, "write to missing key %v (insert first)", key)
+					err = interp.Errf(f.Name, "write to missing key %v (insert first)", key)
 					goto out
 				}
 				c.Put(key, val)
-				m.tcoll(c, interp.OKWrite, 1)
+				m.TColl(c, interp.OKWrite, 1)
 			case interp.RMap:
 				st.Count(c.Impl(), interp.OKWrite, 1)
 				if !c.HasKey(key) {
-					err = m.errf(f, "write to missing key %v (insert first)", key)
+					err = interp.Errf(f.Name, "write to missing key %v (insert first)", key)
 					goto out
 				}
 				c.Put(key, val)
-				m.tcoll(c, interp.OKWrite, 1)
+				m.TColl(c, interp.OKWrite, 1)
 			default:
-				err = m.errf(f, "write on set")
+				err = interp.Errf(f.Name, "write on set")
 				goto out
 			}
-			m.grew()
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpWriteSeq:
@@ -1066,18 +906,18 @@ dispatch:
 			}
 			c, ok := cv.Coll().(interp.RSeq)
 			if !ok {
-				err = m.errf(f, "write on set")
+				err = interp.Errf(f.Name, "write on set")
 				goto out
 			}
 			i := int(key.I)
 			if i < 0 || i >= c.Len() {
-				err = m.errf(f, "seq write index %d out of range", i)
+				err = interp.Errf(f.Name, "seq write index %d out of range", i)
 				goto out
 			}
 			st.Count(c.Impl(), interp.OKWrite, 1)
 			c.Set(i, val)
-			m.tcoll(c, interp.OKWrite, 1)
-			m.grew()
+			m.TColl(c, interp.OKWrite, 1)
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpInsertSet:
@@ -1097,28 +937,21 @@ dispatch:
 			case *interp.RSetBits:
 				st.Count(collections.ImplBitSet, interp.OKInsert, 1)
 				c.S.Insert(uint32(key.I))
-				m.tcoll(c, interp.OKInsert, 1)
 			case *interp.RSetSparse:
 				st.Count(collections.ImplSparseBitSet, interp.OKInsert, 1)
 				c.S.Insert(uint32(key.I))
-				m.tcoll(c, interp.OKInsert, 1)
 			case *interp.RSetHash:
 				st.Count(collections.ImplHashSet, interp.OKInsert, 1)
 				c.Insert(key)
-				m.tcoll(c, interp.OKInsert, 1)
 			case interp.RSet:
 				st.Count(c.Impl(), interp.OKInsert, 1)
 				c.Insert(key)
-				m.tcoll(c, interp.OKInsert, 1)
 			}
-			if m.tele != nil {
-				m.tele.KeyObs(cv.Ref(), key.Bits())
-			}
-			m.grew()
+			m.Inserted(cv.Ref(), key)
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpInsertMap:
-			if m.opts.Faults != nil {
+			if m.Opts.Faults != nil {
 				// A boxed zero value may be a collection whose injected
 				// allocation failure panics: flush as at OpNewColl.
 				st.Steps += steps
@@ -1146,42 +979,23 @@ dispatch:
 				if !c.M.Has(uint32(key.I)) {
 					c.M.Put(uint32(key.I), 0)
 				}
-				m.tcoll(c, interp.OKInsert, 1)
 			case *interp.RMapBitVal:
 				st.Count(collections.ImplBitMap, interp.OKInsert, 1)
 				if !c.M.Has(uint32(key.I)) {
-					zv := interp.ZeroVal(c.ElemType(), m.NewColl)
-					if m.tele != nil {
-						m.tele.TrackInner(zv.Ref(), c)
-					}
-					c.M.Put(uint32(key.I), zv)
+					c.M.Put(uint32(key.I), m.ZeroElem(c, c.ElemType()))
 				}
-				m.tcoll(c, interp.OKInsert, 1)
 			case *interp.RMapHash:
 				st.Count(collections.ImplHashMap, interp.OKInsert, 1)
 				if !c.Has(key) {
-					zv := interp.ZeroVal(c.ElemType(), m.NewColl)
-					if m.tele != nil {
-						m.tele.TrackInner(zv.Ref(), c)
-					}
-					c.Put(key, zv)
+					c.Put(key, m.ZeroElem(c, c.ElemType()))
 				}
-				m.tcoll(c, interp.OKInsert, 1)
 			case interp.RMap:
 				st.Count(c.Impl(), interp.OKInsert, 1)
 				if !c.HasKey(key) {
-					zv := interp.ZeroVal(c.ElemType(), m.NewColl)
-					if m.tele != nil {
-						m.tele.TrackInner(zv.Ref(), c)
-					}
-					c.Put(key, zv)
+					c.Put(key, m.ZeroElem(c, c.ElemType()))
 				}
-				m.tcoll(c, interp.OKInsert, 1)
 			}
-			if m.tele != nil {
-				m.tele.KeyObs(cv.Ref(), key.Bits())
-			}
-			m.grew()
+			m.Inserted(cv.Ref(), key)
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpInsertSeqEnd:
@@ -1200,18 +1014,18 @@ dispatch:
 			switch c := cv.Ref().(type) {
 			case *interp.RSeqArr:
 				st.Count(collections.ImplArray, interp.OKInsert, 1)
-				m.tcoll(c, interp.OKInsert, 1)
+				m.TColl(c, interp.OKInsert, 1)
 				c.S.Append(val.I)
 			case *interp.RSeqVal:
 				st.Count(collections.ImplArray, interp.OKInsert, 1)
-				m.tcoll(c, interp.OKInsert, 1)
+				m.TColl(c, interp.OKInsert, 1)
 				c.S.Append(val)
 			case interp.RSeq:
 				st.Count(c.Impl(), interp.OKInsert, 1)
-				m.tcoll(c, interp.OKInsert, 1)
+				m.TColl(c, interp.OKInsert, 1)
 				c.Append(val)
 			}
-			m.grew()
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpInsertSeqAt:
@@ -1229,19 +1043,19 @@ dispatch:
 			}
 			if c, ok := cv.Coll().(interp.RSeq); ok {
 				st.Count(c.Impl(), interp.OKInsert, 1)
-				m.tcoll(c, interp.OKInsert, 1)
+				m.TColl(c, interp.OKInsert, 1)
 				var pv interp.Val
 				if pv, err = m.get(f, fr, in.B); err != nil {
 					goto out
 				}
 				i := int(pv.I)
 				if i < 0 || i > c.Len() {
-					err = m.errf(f, "seq insert index %d out of range", i)
+					err = interp.Errf(f.Name, "seq insert index %d out of range", i)
 					goto out
 				}
 				c.InsertAt(i, val)
 			}
-			m.grew()
+			m.Grew()
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpRemoveSet:
@@ -1260,7 +1074,7 @@ dispatch:
 			if c, ok := cv.Coll().(interp.RSet); ok {
 				st.Count(c.Impl(), interp.OKRemove, 1)
 				c.Remove(key)
-				m.tcoll(c, interp.OKRemove, 1)
+				m.TColl(c, interp.OKRemove, 1)
 			}
 			fr[in.Dst] = fr[in.A.Reg]
 
@@ -1280,7 +1094,7 @@ dispatch:
 			if c, ok := cv.Coll().(interp.RMap); ok {
 				st.Count(c.Impl(), interp.OKRemove, 1)
 				c.Remove(key)
-				m.tcoll(c, interp.OKRemove, 1)
+				m.TColl(c, interp.OKRemove, 1)
 			}
 			fr[in.Dst] = fr[in.A.Reg]
 
@@ -1300,12 +1114,12 @@ dispatch:
 			if c, ok := cv.Coll().(interp.RSeq); ok {
 				i := int(key.I)
 				if i < 0 || i >= c.Len() {
-					err = m.errf(f, "seq remove index %d out of range", i)
+					err = interp.Errf(f.Name, "seq remove index %d out of range", i)
 					goto out
 				}
 				st.Count(c.Impl(), interp.OKRemove, 1)
 				c.RemoveAt(i)
-				m.tcoll(c, interp.OKRemove, 1)
+				m.TColl(c, interp.OKRemove, 1)
 			}
 			fr[in.Dst] = fr[in.A.Reg]
 
@@ -1319,7 +1133,7 @@ dispatch:
 			c := cv.Coll()
 			st.Count(c.Impl(), interp.OKClear, 1)
 			c.Clear()
-			m.tcoll(c, interp.OKClear, 1)
+			m.TColl(c, interp.OKClear, 1)
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpUnion:
@@ -1338,52 +1152,35 @@ dispatch:
 			dst, ok1 := dv.Coll().(interp.RSet)
 			src, ok2 := sv.Coll().(interp.RSet)
 			if !ok1 || !ok2 {
-				err = m.errf(f, "union on non-sets")
+				err = interp.Errf(f.Name, "union on non-sets")
 				goto out
 			}
-			interp.UnionInto(st, m.tele, dst, src)
-			m.grew()
+			m.Union(dst, src)
 			fr[in.Dst] = fr[in.A.Reg]
 
 		case bytecode.OpEnc:
-			e := fr[in.A.Reg]
 			v := fr[in.B.Reg]
 			if in.B.Path >= 0 {
 				if v, err = m.walkPath(f, fr, v, in.B.Path); err != nil {
 					goto out
 				}
 			}
-			st.Count(interp.ImplEnum, interp.OKEnc, 1)
-			if m.tele != nil {
-				m.tele.EnumOp(e.Enum(), telemetry.OpEnc, false)
-			}
-			id, ok := e.Enum().Enc(v)
+			id := m.Enc(fr[in.A.Reg].Enum(), v)
 			d := &fr[in.Dst]
-			if !ok {
-				// Values outside the enumeration translate to the
-				// never-issued sentinel, as in the interpreter.
-				d.K, d.I = interp.VInt, uint64(interp.AbsentID)
-			} else {
-				d.K, d.I = interp.VInt, uint64(id)
-			}
+			d.K, d.I = interp.VInt, id
 
 		case bytecode.OpDec:
-			e := fr[in.A.Reg]
 			idv := fr[in.B.Reg]
 			if in.B.Path >= 0 {
 				if idv, err = m.walkPath(f, fr, idv, in.B.Path); err != nil {
 					goto out
 				}
 			}
-			st.Count(interp.ImplEnum, interp.OKDec, 1)
-			if m.tele != nil {
-				m.tele.EnumOp(e.Enum(), telemetry.OpDec, false)
-			}
-			if int(idv.I) >= e.Enum().Len() {
-				err = m.errf(f, "dec of identifier %d outside [0,%d)", idv.I, e.Enum().Len())
+			var v interp.Val
+			if v, err = m.Dec(f.Name, fr[in.A.Reg].Enum(), idv.I); err != nil {
 				goto out
 			}
-			fr[in.Dst] = e.Enum().Dec(uint32(idv.I))
+			fr[in.Dst] = v
 
 		case bytecode.OpEnumAdd:
 			e := fr[in.A.Reg]
@@ -1393,17 +1190,7 @@ dispatch:
 					goto out
 				}
 			}
-			st.Count(interp.ImplEnum, interp.OKAdd, 1)
-			id, added := e.Enum().Add(v)
-			if m.tele != nil {
-				m.tele.EnumOp(e.Enum(), telemetry.OpAdd, added)
-			}
-			if added {
-				m.grew()
-			}
-			if fa := m.opts.Faults; fa != nil && fa.CorruptAdd() {
-				e.Enum().CorruptSlot()
-			}
+			id := m.EnumAdd(e.Enum(), v)
 			fr[in.Dst] = e
 			if in.Dst2 >= 0 {
 				d := &fr[in.Dst2]
@@ -1429,7 +1216,7 @@ dispatch:
 			nscalar++
 			b := fr[in.B.Reg].I
 			if b == 0 {
-				err = m.errf(f, "division by zero")
+				err = interp.Errf(f.Name, "division by zero")
 				goto out
 			}
 			d := &fr[in.Dst]
@@ -1439,7 +1226,7 @@ dispatch:
 			nscalar++
 			b := fr[in.B.Reg].I
 			if b == 0 {
-				err = m.errf(f, "division by zero")
+				err = interp.Errf(f.Name, "division by zero")
 				goto out
 			}
 			d := &fr[in.Dst]
@@ -1449,7 +1236,7 @@ dispatch:
 			nscalar++
 			b := fr[in.B.Reg].I
 			if b == 0 {
-				err = m.errf(f, "remainder by zero")
+				err = interp.Errf(f.Name, "remainder by zero")
 				goto out
 			}
 			d := &fr[in.Dst]
@@ -1459,7 +1246,7 @@ dispatch:
 			nscalar++
 			b := fr[in.B.Reg].I
 			if b == 0 {
-				err = m.errf(f, "remainder by zero")
+				err = interp.Errf(f.Name, "remainder by zero")
 				goto out
 			}
 			d := &fr[in.Dst]
@@ -1669,7 +1456,7 @@ dispatch:
 			}
 			fields := tv.Tuple()
 			if int(in.Aux) >= len(fields) {
-				err = m.errf(f, "field %d of %d-tuple", in.Aux, len(fields))
+				err = interp.Errf(f.Name, "field %d of %d-tuple", in.Aux, len(fields))
 				goto out
 			}
 			fr[in.Dst] = fields[in.Aux]
@@ -1681,11 +1468,7 @@ dispatch:
 					goto out
 				}
 			}
-			st.EmitCount++
-			st.EmitSum += collections.Mix64(v.Bits())
-			if m.opts.RecordOutput {
-				m.Output = append(m.Output, v)
-			}
+			m.Emit(v)
 
 		case bytecode.OpROI:
 			st.Steps += steps
@@ -1695,7 +1478,7 @@ dispatch:
 			m.MarkROI()
 
 		default:
-			err = m.errf(f, "unimplemented opcode %v", op)
+			err = interp.Errf(f.Name, "unimplemented opcode %v", op)
 			goto out
 		}
 	}

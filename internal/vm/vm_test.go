@@ -77,22 +77,7 @@ func runOn(t *testing.T, eng bench.Engine, build func() *ir.Program,
 	inputFor func(bench.Allocator) []interp.Val, cfg parityConfig,
 ) (interp.Val, []interp.Val, *interp.Stats, *telemetry.Telemetry, error) {
 	t.Helper()
-	prog := build()
-	if cfg.ade != nil {
-		if _, err := core.Apply(prog, *cfg.ade); err != nil {
-			t.Fatalf("%s: ade: %v", cfg.name, err)
-		}
-	}
-	opts := cfg.opts()
-	opts.Telemetry = telemetry.NewRecorder()
-	m, err := bench.NewMachine(prog, opts, eng)
-	if err != nil {
-		t.Fatalf("%s: new %v machine: %v", cfg.name, eng, err)
-	}
-	args := inputFor(m)
-	ret, runErr := m.Run("main", args...)
-	m.FinalizeMem()
-	return ret, m.RecordedOutput(), m.Stats(), opts.Telemetry.Result(), runErr
+	return runLimited(t, eng, build, inputFor, cfg, func(*interp.Options) {})
 }
 
 // assertParity runs the program on both engines and requires the full
@@ -330,6 +315,54 @@ func TestTelemetryZeroStatsDelta(t *testing.T) {
 			if *off != *on {
 				t.Errorf("%s/%v: telemetry changed Stats:\n  off: %+v\n  on:  %+v", abbr, eng, off, on)
 			}
+		}
+	}
+}
+
+// TestSeqRemoveRangeError pins the out-of-range diagnostic of a
+// sequence remove on both engines. The IR verifier rejects remove on a
+// Seq, so no checked-in .mir program can reach it; the builder can.
+func TestSeqRemoveRangeError(t *testing.T) {
+	build := func() *ir.Program {
+		b := ir.NewFunc("main", ir.TU64)
+		b.Fn.Exported = true
+		s := b.New(ir.SeqOf(ir.TU64), "s")
+		s1 := b.InsertSeq(ir.Op(s), nil, ir.ConstInt(ir.TU64, 9), "s1")
+		b.Remove(ir.Op(s1), ir.ConstInt(ir.TU64, 4), "s2")
+		b.Ret(ir.ConstInt(ir.TU64, 0))
+		p := ir.NewProgram()
+		p.Add(b.Fn)
+		return p
+	}
+	noInput := func(bench.Allocator) []interp.Val { return nil }
+	for _, eng := range bench.Engines() {
+		_, _, _, _, err := runOn(t, eng, build, noInput, parityConfig{name: "baseline-hash"})
+		if want := "@main: seq remove index 4 out of range"; err == nil || err.Error() != want {
+			t.Errorf("%v: err = %v, want %q", eng, err, want)
+		}
+	}
+}
+
+// TestZeroOptionsNormalize requires the zero Options to run exactly
+// like DefaultOptions on both engines: one normalization serves both.
+func TestZeroOptionsNormalize(t *testing.T) {
+	s := bench.Get("BFS")
+	for _, eng := range bench.Engines() {
+		var stats []*interp.Stats
+		for _, opts := range []interp.Options{{}, interp.DefaultOptions()} {
+			m, err := bench.NewMachine(s.Build(""), opts, eng)
+			if err != nil {
+				t.Fatalf("%v: new machine: %v", eng, err)
+			}
+			if _, err := m.Run("main", s.Input(m, bench.ScaleTest)...); err != nil {
+				t.Fatalf("%v: run: %v", eng, err)
+			}
+			m.FinalizeMem()
+			stats = append(stats, m.Stats())
+		}
+		// Stats carries the counts, PeakBytes and the emit checksum.
+		if *stats[0] != *stats[1] {
+			t.Errorf("%v: zero Options diverge from DefaultOptions:\n  zero:    %+v\n  default: %+v", eng, stats[0], stats[1])
 		}
 	}
 }

@@ -25,14 +25,13 @@ import (
 	"time"
 
 	"memoir/internal/adeprofile"
-	"memoir/internal/bytecode"
+	"memoir/internal/bench"
 	"memoir/internal/collections"
 	"memoir/internal/core"
 	"memoir/internal/interp"
 	"memoir/internal/ir"
 	"memoir/internal/parser"
 	"memoir/internal/telemetry"
-	"memoir/internal/vm"
 )
 
 // Program is a parsed (and possibly ADE-transformed) MEMOIR program.
@@ -206,30 +205,23 @@ func (p *Program) Run(entry string, args ...uint64) (*Result, error) {
 	for i, a := range args {
 		vals[i] = interp.IntV(a)
 	}
-	var (
-		run      func(string, ...interp.Val) (interp.Val, error)
-		finalize func()
-		stats    *interp.Stats
-	)
-	switch p.engine {
-	case EngineVM:
-		bc, err := bytecode.Compile(p.IR)
-		if err != nil {
-			return nil, err
-		}
-		m := vm.New(bc, opts)
-		run, finalize, stats = m.Run, m.FinalizeMem, m.Stats
-	default:
-		ip := interp.New(p.IR, opts)
-		run, finalize, stats = ip.Run, ip.FinalizeMem, ip.Stats
+	eng := bench.EngineInterp
+	if p.engine == EngineVM {
+		eng = bench.EngineVM
+	}
+	// NewMachine verifies the bytecode it compiles for the VM.
+	m, err := bench.NewMachine(p.IR, opts, eng)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
-	ret, err := run(entry, vals...)
+	ret, err := m.Run(entry, vals...)
 	if err != nil {
 		return nil, err
 	}
 	wall := time.Since(start)
-	finalize()
+	m.FinalizeMem()
+	stats := m.Stats()
 	return &Result{
 		Value:    ret.I,
 		Checksum: stats.EmitSum,
