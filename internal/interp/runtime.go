@@ -235,7 +235,9 @@ func (rt *Runtime) StepBudget() uint64 {
 // both engines report the same error kind with the same partial Stats
 // when several limits trip at once. The context is polled only when
 // steps&1023 == 1: a cheap deterministic schedule that still fires on
-// the very first step for already-cancelled contexts.
+// the very first step for already-cancelled contexts. The VM runs the
+// same test inline and calls this only once it has tripped, to build
+// the error.
 func (rt *Runtime) Interrupted(fn string, steps uint64) error {
 	if rt.Opts.MaxSteps > 0 && steps > rt.Opts.MaxSteps {
 		return &LimitError{Kind: ErrStepBudget, Fn: fn, Steps: steps}

@@ -448,12 +448,19 @@ dispatch:
 			// the for-each entry step), in the same fixed order — step
 			// budget, pending memory stop, context — so both engines
 			// abort at the same dynamic point with the same error kind.
-			// The guard below is the cheap part, kept inline; Interrupted
-			// builds the error only once some source may have tripped.
+			// The test stays inline and calls Interrupted only to build
+			// the error of a source that has tripped: one more call here
+			// that can return into the loop (the context poll is the
+			// only one) makes the compiler spill loop state on every
+			// step.
 			steps++
-			if m.Limited && op != bytecode.OpForEach &&
-				(steps > budget || m.Stop != nil || m.Opts.Context != nil && (st.Steps+steps)&1023 == 1) {
-				if err = m.Interrupted(f.Name, st.Steps+steps); err != nil {
+			if m.Limited && op != bytecode.OpForEach {
+				if steps > budget || m.Stop != nil {
+					err = m.Interrupted(f.Name, st.Steps+steps)
+					goto out
+				}
+				if m.Opts.Context != nil && (st.Steps+steps)&1023 == 1 && m.Opts.Context.Err() != nil {
+					err = m.Interrupted(f.Name, st.Steps+steps)
 					goto out
 				}
 			}
